@@ -108,55 +108,11 @@ func run(o options, out io.Writer) error {
 		OS:     runtime.GOOS,
 		Arch:   runtime.GOARCH,
 	}
-	for _, spec := range scenarioMatrix(o.Quick) {
-		fmt.Fprintf(out, "scenario %-28s ", spec.name())
-		sc, err := runScenario(spec, o)
+	for _, c := range cells(o) {
+		fmt.Fprintf(out, "%-8s %-28s ", c.kind, c.label)
+		scs, err := runCell(c, o)
 		if err != nil {
-			return fmt.Errorf("%s: %w", spec.name(), err)
-		}
-		fmt.Fprintf(out, "%8.2f ms/op  %6d pages sent\n",
-			float64(sc.Timing.NsPerOp)/1e6, sc.Deterministic.PagesSent)
-		snap.Scenarios = append(snap.Scenarios, sc)
-	}
-	for _, spec := range fleetMatrix(o.Quick) {
-		label := fmt.Sprintf("%s/%s/%dvm", spec.workload, spec.mode, spec.vms)
-		if spec.collect {
-			label += "+obs"
-		}
-		fmt.Fprintf(out, "fleet    %-28s ", label)
-		scs, err := runFleetScenario(spec, o)
-		if err != nil {
-			return fmt.Errorf("fleet %s: %w", label, err)
-		}
-		var pages int64
-		for _, sc := range scs {
-			pages += sc.Deterministic.PagesSent
-		}
-		fmt.Fprintf(out, "%8.2f ms/op  %6d pages sent\n",
-			float64(scs[0].Timing.NsPerOp)/1e6, pages)
-		snap.Scenarios = append(snap.Scenarios, scs...)
-	}
-	for _, spec := range orchMatrix(o.Quick) {
-		label := fmt.Sprintf("evacuate/%s/%dvm", spec.ordering, spec.vms)
-		fmt.Fprintf(out, "orch     %-28s ", label)
-		scs, err := runOrchScenario(spec, o)
-		if err != nil {
-			return fmt.Errorf("orch %s: %w", label, err)
-		}
-		var pages int64
-		for _, sc := range scs {
-			pages += sc.Deterministic.PagesSent
-		}
-		fmt.Fprintf(out, "%8.2f ms/op  %6d pages sent\n",
-			float64(scs[0].Timing.NsPerOp)/1e6, pages)
-		snap.Scenarios = append(snap.Scenarios, scs...)
-	}
-	for _, spec := range healMatrix(o.Quick) {
-		label := fmt.Sprintf("evacuate/%s", spec.arm)
-		fmt.Fprintf(out, "heal     %-28s ", label)
-		scs, err := runHealScenario(spec, o)
-		if err != nil {
-			return fmt.Errorf("heal %s: %w", label, err)
+			return fmt.Errorf("%s %s: %w", c.kind, c.label, err)
 		}
 		var pages int64
 		for _, sc := range scs {

@@ -136,70 +136,6 @@ func orchCluster(n int) *javmm.Cluster {
 	return c
 }
 
-// runOrchScenario measures one orchestrator cell under the fleet protocol:
-// an accounting run pins each move's deterministic block, then o.Runs
-// uninstrumented timing runs must reproduce every block exactly while their
-// wall-clock medians become the shared timing block.
-func runOrchScenario(spec orchSpec, o options) ([]perf.Scenario, error) {
-	prof := javmm.NewStageProfiler()
-	dets, awall, _, err := orchOnce(spec, o, prof)
-	if err != nil {
-		return nil, err
-	}
-	var stages []perf.StageShare
-	for _, st := range prof.Snapshot() {
-		share := 0.0
-		if awall > 0 {
-			share = float64(st.SelfNs) / float64(awall)
-		}
-		stages = append(stages, perf.StageShare{
-			Stage:      st.Stage,
-			Calls:      st.Calls,
-			SelfNs:     st.SelfNs,
-			TotalNs:    st.TotalNs,
-			AllocBytes: st.SelfAllocBytes,
-			Share:      share,
-		})
-	}
-	scs := make([]perf.Scenario, len(dets))
-	for i, det := range dets {
-		scs[i] = perf.Scenario{Name: spec.name(i), Deterministic: det, Stages: stages}
-	}
-
-	ns := make([]int64, 0, o.Runs)
-	allocB := make([]int64, 0, o.Runs)
-	allocN := make([]int64, 0, o.Runs)
-	for r := 0; r < o.Runs; r++ {
-		tdets, wall, ad, err := orchOnce(spec, o, nil)
-		if err != nil {
-			return nil, fmt.Errorf("timing run %d: %w", r+1, err)
-		}
-		for i := range dets {
-			if tdets[i] != dets[i] {
-				return nil, fmt.Errorf("timing run %d vm%d diverged from accounting run:\naccounting: %+v\ntiming:     %+v",
-					r+1, i, dets[i], tdets[i])
-			}
-		}
-		ns = append(ns, int64(wall))
-		allocB = append(allocB, ad.bytes)
-		allocN = append(allocN, ad.objects)
-	}
-	timing := perf.Timing{
-		Runs:            o.Runs,
-		NsPerOp:         median(ns),
-		AllocBytesPerOp: median(allocB),
-		AllocsPerOp:     median(allocN),
-	}
-	for i := range scs {
-		t := timing
-		if t.NsPerOp > 0 && scs[i].Deterministic.PagesSent > 0 {
-			t.PagesPerSec = float64(scs[i].Deterministic.PagesSent) / (float64(t.NsPerOp) / 1e9)
-		}
-		scs[i].Timing = t
-	}
-	return scs, nil
-}
-
 // orchOnce executes the evacuation plan once and projects each move's
 // outcome onto the deterministic block.
 func orchOnce(spec orchSpec, o options, prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error) {
@@ -290,71 +226,6 @@ func healCluster() *javmm.Cluster {
 	return c
 }
 
-// runHealScenario measures one self-healing cell under the fleet protocol:
-// an accounting run pins each move's deterministic block (attempts,
-// relocations and backoffs included — the healed schedule is part of what
-// must replay), then o.Runs uninstrumented timing runs must reproduce every
-// block exactly.
-func runHealScenario(spec healSpec, o options) ([]perf.Scenario, error) {
-	prof := javmm.NewStageProfiler()
-	dets, awall, _, err := healOnce(spec, o, prof)
-	if err != nil {
-		return nil, err
-	}
-	var stages []perf.StageShare
-	for _, st := range prof.Snapshot() {
-		share := 0.0
-		if awall > 0 {
-			share = float64(st.SelfNs) / float64(awall)
-		}
-		stages = append(stages, perf.StageShare{
-			Stage:      st.Stage,
-			Calls:      st.Calls,
-			SelfNs:     st.SelfNs,
-			TotalNs:    st.TotalNs,
-			AllocBytes: st.SelfAllocBytes,
-			Share:      share,
-		})
-	}
-	scs := make([]perf.Scenario, len(dets))
-	for i, det := range dets {
-		scs[i] = perf.Scenario{Name: spec.name(i), Deterministic: det, Stages: stages}
-	}
-
-	ns := make([]int64, 0, o.Runs)
-	allocB := make([]int64, 0, o.Runs)
-	allocN := make([]int64, 0, o.Runs)
-	for r := 0; r < o.Runs; r++ {
-		tdets, wall, ad, err := healOnce(spec, o, nil)
-		if err != nil {
-			return nil, fmt.Errorf("timing run %d: %w", r+1, err)
-		}
-		for i := range dets {
-			if tdets[i] != dets[i] {
-				return nil, fmt.Errorf("timing run %d vm%d diverged from accounting run:\naccounting: %+v\ntiming:     %+v",
-					r+1, i, dets[i], tdets[i])
-			}
-		}
-		ns = append(ns, int64(wall))
-		allocB = append(allocB, ad.bytes)
-		allocN = append(allocN, ad.objects)
-	}
-	timing := perf.Timing{
-		Runs:            o.Runs,
-		NsPerOp:         median(ns),
-		AllocBytesPerOp: median(allocB),
-		AllocsPerOp:     median(allocN),
-	}
-	for i := range scs {
-		t := timing
-		if t.NsPerOp > 0 && scs[i].Deterministic.PagesSent > 0 {
-			t.PagesPerSec = float64(scs[i].Deterministic.PagesSent) / (float64(t.NsPerOp) / 1e9)
-		}
-		scs[i].Timing = t
-	}
-	return scs, nil
-}
-
 // healOnce executes the evacuation once under the cell's healing policy and
 // projects each move's outcome onto the deterministic block. Every move must
 // complete: the relocate cell's crashed destination is healed around, not
@@ -407,77 +278,6 @@ func healOnce(spec healSpec, o options, prof *javmm.StageProfiler) ([]perf.Deter
 		dets[i] = det
 	}
 	return dets, wall, delta, nil
-}
-
-// runFleetScenario measures one contention cell under the same protocol as
-// runScenario: an accounting run (stage profiler attached) pins each VM's
-// deterministic block, then o.Runs uninstrumented timing runs must reproduce
-// every one of them exactly while their fleet wall-clock medians become the
-// (shared) timing block. One scenario is emitted per VM so per-VM drift
-// stays visible in the comparator. All engines share one profiler — stage
-// calls never span a cooperative yield, so the stack stays consistent — and
-// the resulting fleet-wide breakdown is attached to every VM's scenario,
-// matching the shared timing.
-func runFleetScenario(spec fleetSpec, o options) ([]perf.Scenario, error) {
-	prof := javmm.NewStageProfiler()
-	dets, awall, _, err := fleetOnce(spec, o, prof)
-	if err != nil {
-		return nil, err
-	}
-	var stages []perf.StageShare
-	for _, st := range prof.Snapshot() {
-		share := 0.0
-		if awall > 0 {
-			share = float64(st.SelfNs) / float64(awall)
-		}
-		stages = append(stages, perf.StageShare{
-			Stage:      st.Stage,
-			Calls:      st.Calls,
-			SelfNs:     st.SelfNs,
-			TotalNs:    st.TotalNs,
-			AllocBytes: st.SelfAllocBytes,
-			Share:      share,
-		})
-	}
-	scs := make([]perf.Scenario, len(dets))
-	for i, det := range dets {
-		scs[i] = perf.Scenario{Name: spec.name(i), Deterministic: det, Stages: stages}
-	}
-
-	ns := make([]int64, 0, o.Runs)
-	allocB := make([]int64, 0, o.Runs)
-	allocN := make([]int64, 0, o.Runs)
-	for r := 0; r < o.Runs; r++ {
-		tdets, wall, ad, err := fleetOnce(spec, o, nil)
-		if err != nil {
-			return nil, fmt.Errorf("timing run %d: %w", r+1, err)
-		}
-		for i := range dets {
-			if tdets[i] != dets[i] {
-				return nil, fmt.Errorf("timing run %d vm%d diverged from accounting run:\naccounting: %+v\ntiming:     %+v",
-					r+1, i, dets[i], tdets[i])
-			}
-		}
-		ns = append(ns, int64(wall))
-		allocB = append(allocB, ad.bytes)
-		allocN = append(allocN, ad.objects)
-	}
-	// The fleet migrates as one unit, so every VM's scenario carries the
-	// whole fleet's wall time and allocation; PagesPerSec is still per-VM.
-	timing := perf.Timing{
-		Runs:            o.Runs,
-		NsPerOp:         median(ns),
-		AllocBytesPerOp: median(allocB),
-		AllocsPerOp:     median(allocN),
-	}
-	for i := range scs {
-		t := timing
-		if t.NsPerOp > 0 && scs[i].Deterministic.PagesSent > 0 {
-			t.PagesPerSec = float64(scs[i].Deterministic.PagesSent) / (float64(t.NsPerOp) / 1e9)
-		}
-		scs[i].Timing = t
-	}
-	return scs, nil
 }
 
 // fleetOnce runs the whole fleet once and projects each VM's outcome onto
@@ -542,77 +342,11 @@ func fleetOnce(spec fleetSpec, o options, prof *javmm.StageProfiler) ([]perf.Det
 	return dets, wall, delta, nil
 }
 
-// runScenario measures one matrix cell: first an instrumented accounting run
-// (stage profiler attached) that yields the deterministic block and the
-// per-stage breakdown, then o.Runs uninstrumented timing runs whose medians
-// become the timing block. Every timing run's deterministic block must equal
-// the accounting run's — one half of that equation has a profiler attached,
-// so the check asserts seed-determinism and profiler transparency at once.
-func runScenario(spec scenarioSpec, o options) (perf.Scenario, error) {
-	sc := perf.Scenario{Name: spec.name()}
-
-	// Accounting run.
-	prof := javmm.NewStageProfiler()
-	res, wall, _, err := migrateOnce(spec, o, prof)
-	if err != nil {
-		return sc, err
-	}
-	det := javmm.BenchDeterministic(res)
-	det.Workload = spec.workload
-	det.Codec = spec.codec
-	sc.Deterministic = det
-	for _, st := range prof.Snapshot() {
-		share := 0.0
-		if wall > 0 {
-			share = float64(st.SelfNs) / float64(wall)
-		}
-		sc.Stages = append(sc.Stages, perf.StageShare{
-			Stage:      st.Stage,
-			Calls:      st.Calls,
-			SelfNs:     st.SelfNs,
-			TotalNs:    st.TotalNs,
-			AllocBytes: st.SelfAllocBytes,
-			Share:      share,
-		})
-	}
-
-	// Timing runs, no instrumentation attached.
-	ns := make([]int64, 0, o.Runs)
-	allocB := make([]int64, 0, o.Runs)
-	allocN := make([]int64, 0, o.Runs)
-	for i := 0; i < o.Runs; i++ {
-		tres, twall, ad, err := migrateOnce(spec, o, nil)
-		if err != nil {
-			return sc, fmt.Errorf("timing run %d: %w", i+1, err)
-		}
-		tdet := javmm.BenchDeterministic(tres)
-		tdet.Workload = spec.workload
-		tdet.Codec = spec.codec
-		if tdet != det {
-			return sc, fmt.Errorf("timing run %d diverged from accounting run:\naccounting: %+v\ntiming:     %+v",
-				i+1, det, tdet)
-		}
-		ns = append(ns, int64(twall))
-		allocB = append(allocB, ad.bytes)
-		allocN = append(allocN, ad.objects)
-	}
-	sc.Timing = perf.Timing{
-		Runs:            o.Runs,
-		NsPerOp:         median(ns),
-		AllocBytesPerOp: median(allocB),
-		AllocsPerOp:     median(allocN),
-	}
-	if n := median(ns); n > 0 && det.PagesSent > 0 {
-		sc.Timing.PagesPerSec = float64(det.PagesSent) / (float64(n) / 1e9)
-	}
-	return sc, nil
-}
-
 // migrateOnce boots a fresh VM for the cell, warms it up, and migrates it,
 // measuring only the Migrate call itself (wall clock plus heap-allocation
-// deltas from runtime/metrics). prof, when non-nil, is attached as
-// EngineConfig.Perf.
-func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) (*javmm.Result, time.Duration, allocDelta, error) {
+// deltas from runtime/metrics), and projects the outcome onto the
+// deterministic block. prof, when non-nil, is attached as EngineConfig.Perf.
+func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error) {
 	mode, err := javmm.ParseMode(spec.mode)
 	if err != nil {
 		return nil, 0, allocDelta{}, err
@@ -659,7 +393,127 @@ func migrateOnce(spec scenarioSpec, o options, prof *javmm.StageProfiler) (*javm
 	if res.VerifyErr != nil {
 		return nil, 0, allocDelta{}, fmt.Errorf("destination verification failed: %w", res.VerifyErr)
 	}
-	return res, wall, delta, nil
+	det := javmm.BenchDeterministic(res)
+	det.Workload = spec.workload
+	det.Codec = spec.codec
+	return []perf.Deterministic{det}, wall, delta, nil
+}
+
+// cell is one entry group of the snapshot: one scenario for a single-VM
+// cell, one per VM or move for a fleet cell.
+type cell struct {
+	// kind and label name the cell on the progress line.
+	kind, label string
+	// name is the snapshot name of the cell's i-th scenario.
+	name func(i int) string
+	// once runs the cell once.
+	once onceFunc
+}
+
+// onceFunc runs a cell once, with prof attached to every engine when
+// non-nil, and returns each scenario's deterministic block plus the wall
+// time and allocation delta of the timed phase.
+type onceFunc func(prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error)
+
+// bind fixes a matrix spec and the options of one of the *Once functions.
+func bind[S any](spec S, o options,
+	once func(S, options, *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error)) onceFunc {
+	return func(prof *javmm.StageProfiler) ([]perf.Deterministic, time.Duration, allocDelta, error) {
+		return once(spec, o, prof)
+	}
+}
+
+// cells lists the whole matrix in snapshot order: the single-VM end-to-end
+// scenarios, then the fleet, orchestrator and self-healing cells.
+func cells(o options) []cell {
+	var cs []cell
+	for _, spec := range scenarioMatrix(o.Quick) {
+		name := spec.name()
+		cs = append(cs, cell{"scenario", name, func(int) string { return name }, bind(spec, o, migrateOnce)})
+	}
+	for _, spec := range fleetMatrix(o.Quick) {
+		label := fmt.Sprintf("%s/%s/%dvm", spec.workload, spec.mode, spec.vms)
+		if spec.collect {
+			label += "+obs"
+		}
+		cs = append(cs, cell{"fleet", label, spec.name, bind(spec, o, fleetOnce)})
+	}
+	for _, spec := range orchMatrix(o.Quick) {
+		label := fmt.Sprintf("evacuate/%s/%dvm", spec.ordering, spec.vms)
+		cs = append(cs, cell{"orch", label, spec.name, bind(spec, o, orchOnce)})
+	}
+	for _, spec := range healMatrix(o.Quick) {
+		cs = append(cs, cell{"heal", "evacuate/" + spec.arm, spec.name, bind(spec, o, healOnce)})
+	}
+	return cs
+}
+
+// runCell measures one cell: first an instrumented accounting run (stage
+// profiler attached) that yields every scenario's deterministic block and
+// the per-stage breakdown, then o.Runs uninstrumented timing runs whose
+// medians become the timing block. Every timing run's deterministic blocks
+// must equal the accounting run's — one half of that equation has a
+// profiler attached, so the check asserts seed-determinism and profiler
+// transparency at once. A fleet cell migrates as one unit, so each of its
+// scenarios carries the whole cell's wall time, allocation and stage
+// breakdown (all engines share one profiler — stage calls never span a
+// cooperative yield, so its stack stays consistent); PagesPerSec is still
+// per scenario.
+func runCell(c cell, o options) ([]perf.Scenario, error) {
+	prof := javmm.NewStageProfiler()
+	dets, awall, _, err := c.once(prof)
+	if err != nil {
+		return nil, err
+	}
+	var stages []perf.StageShare
+	for _, st := range prof.Snapshot() {
+		share := 0.0
+		if awall > 0 {
+			share = float64(st.SelfNs) / float64(awall)
+		}
+		stages = append(stages, perf.StageShare{
+			Stage:      st.Stage,
+			Calls:      st.Calls,
+			SelfNs:     st.SelfNs,
+			TotalNs:    st.TotalNs,
+			AllocBytes: st.SelfAllocBytes,
+			Share:      share,
+		})
+	}
+
+	ns := make([]int64, 0, o.Runs)
+	allocB := make([]int64, 0, o.Runs)
+	allocN := make([]int64, 0, o.Runs)
+	for r := 0; r < o.Runs; r++ {
+		tdets, wall, ad, err := c.once(nil)
+		if err != nil {
+			return nil, fmt.Errorf("timing run %d: %w", r+1, err)
+		}
+		for i := range dets {
+			if tdets[i] != dets[i] {
+				return nil, fmt.Errorf("timing run %d: %s diverged from accounting run:\naccounting: %+v\ntiming:     %+v",
+					r+1, c.name(i), dets[i], tdets[i])
+			}
+		}
+		ns = append(ns, int64(wall))
+		allocB = append(allocB, ad.bytes)
+		allocN = append(allocN, ad.objects)
+	}
+	timing := perf.Timing{
+		Runs:            o.Runs,
+		NsPerOp:         median(ns),
+		AllocBytesPerOp: median(allocB),
+		AllocsPerOp:     median(allocN),
+	}
+	scs := make([]perf.Scenario, len(dets))
+	for i, det := range dets {
+		t := timing
+		if t.NsPerOp > 0 && det.PagesSent > 0 {
+			t.PagesPerSec = float64(det.PagesSent) / (float64(t.NsPerOp) / 1e9)
+		}
+		scs[i] = perf.Scenario{Name: c.name(i), Deterministic: det, Stages: stages, Timing: t}
+	}
+	return scs, nil
 }
 
 // allocDelta is a heap-allocation reading (monotonic totals or a difference

@@ -25,8 +25,9 @@ const failedMovePenalty = 10.0
 // window re-arms on every attempt, the modelled "host died mid-plan, not
 // coming back"), executed under three healing policies:
 //
-//   - no-retry: the self-healing layer off; the move into the dead host
-//     fails on its first attempt and the VM is stranded at the source.
+//   - no-retry: the one-attempt policy (retry disabled); the move into the
+//     dead host fails on its only attempt and the VM is stranded at the
+//     source.
 //   - retry-same: healing on, relocation off; every retry re-selects the
 //     same dead host, burns its backoff budget and exhausts MaxAttempts.
 //   - relocate: full healing; the first failure is classified permanent
@@ -63,11 +64,7 @@ func AblationHealing(o Options) (*Table, error) {
 					}
 					completed++
 				}
-				if n := len(m.Attempts); n > 0 {
-					attempts += n
-				} else {
-					attempts++ // no-retry arm records no attempt entries
-				}
+				attempts += len(m.Attempts)
 				relocations += m.Relocations
 				backoff += m.HealBackoff
 			}

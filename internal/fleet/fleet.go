@@ -294,28 +294,8 @@ func Run(opts Options) (*Result, error) {
 		res.VMs[i].dest = srcs[i].Dest
 	}
 
-	// remaining gates the guest processes: they keep the workloads running —
-	// and contending for the fabric's attention via dirtied memory — until
-	// the LAST engine completes, so late migrations see realistic load.
-	// Cooperative scheduling (one process active at a time, channel-handoff
-	// ordered) makes the shared counter race-free.
 	remaining := n
-	for i := range vms {
-		vm := vms[i]
-		exec := execs[i]
-		q := opts.GuestQuantum
-		sched.Go(vm.Dom.Name()+"/guest", func() {
-			for remaining > 0 {
-				if vm.Dom.Paused() {
-					// Stop-and-copy (or post-copy pause): the guest is
-					// frozen; idle this quantum without executing.
-					clock.Advance(q)
-				} else {
-					exec.Run(q)
-				}
-			}
-		})
-	}
+	startGuests(sched, vms, execs, opts.GuestQuantum, &remaining)
 	for i := range vms {
 		i := i
 		vm := vms[i]
@@ -335,44 +315,17 @@ func Run(opts Options) (*Result, error) {
 				r.Err = err
 				return
 			}
-			if werr := vm.Driver.Err; werr != nil {
-				r.Err = fmt.Errorf("fleet: workload failed during migration: %w", werr)
-				return
-			}
-			hist := vm.Heap.GCHistory()
-			for j := len(hist) - 1; j >= 0; j-- {
-				if st := hist[j]; st.Enforced {
-					r.EnforcedGC = st.Duration
-					break
-				}
-			}
-			r.WorkloadDowntime = report.VMDowntime
-			if report.EffectiveMode() == migration.ModeAppAssisted {
-				r.WorkloadDowntime += r.EnforcedGC + report.FinalUpdate
-			}
-			// Verify NOW, while this process still holds the baton: no other
-			// process has run since the engine finished, so the source store
-			// is exactly what stop-and-copy shipped.
-			if !opts.SkipVerify && report.PostCopy == nil {
-				r.VerifyErr = migration.VerifyMigration(
-					vm.Dom.Store(), src.Dest.Store, report.FinalTransfer,
-					func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
-			}
+			r.Err = r.complete(vm, report, opts.SkipVerify)
 		})
 	}
 	sched.Run()
 
-	var first, last time.Duration
+	rs := make([]*VMResult, n)
 	for i := range res.VMs {
-		r := &res.VMs[i]
-		if i == 0 || r.StartAt < first {
-			first = r.StartAt
-		}
-		if r.EndAt > last {
-			last = r.EndAt
-		}
+		rs[i] = &res.VMs[i]
+		rs[i].Samples = vms[i].Driver.Samples()
 	}
-	res.MakeSpan = last - first
+	res.MakeSpan = makeSpan(rs)
 	res.Fabric = fabric.Report()
 	// Standing invariant, checked after every fleet run: fair-share
 	// settling may not lose or invent bytes on any link.
@@ -381,36 +334,117 @@ func Run(opts Options) (*Result, error) {
 	}
 	res.Metrics = metrics
 	res.Obs = coll
-
-	for i := range res.VMs {
-		res.VMs[i].Samples = vms[i].Driver.Samples()
-	}
 	if opts.SLA != nil {
-		costs := make([]sla.Cost, 0, n)
-		for i := range res.VMs {
-			r := &res.VMs[i]
-			if r.Err != nil || r.Report == nil {
-				continue
-			}
-			var led *ledger.Ledger
-			if coll != nil {
-				led = coll.VMs()[i].Ledger
-			}
-			a := attrib.Build(r.Report, r.EnforcedGC, led)
-			if err := a.Reconcile(r.Report); err != nil {
-				r.Err = fmt.Errorf("fleet: attribution for %s does not reconcile: %w", r.Name, err)
-				continue
-			}
-			c := sla.Build(r.Name, *opts.SLA, a, r.Samples)
-			if err := c.Reconcile(*opts.SLA, a, r.Samples); err != nil {
-				r.Err = fmt.Errorf("fleet: SLA cost for %s does not reconcile: %w", r.Name, err)
-				continue
-			}
-			r.SLACost = &c
-			costs = append(costs, c)
-		}
-		f := sla.Aggregate(costs)
-		res.SLA = &f
+		res.SLA = priceSLA(*opts.SLA, rs, coll)
 	}
 	return res, nil
+}
+
+// The per-VM lifecycle Run and Orchestrate share: guest processes, the
+// completion bookkeeping, the makespan and SLA pricing.
+
+// startGuests starts one guest process per VM. Each keeps its executor
+// running in quanta of q until the last engine completes (*remaining
+// reaches zero), so late migrations see realistic load; while stop-and-copy
+// or a post-copy pause has the domain frozen, it idles the quantum instead.
+// Cooperative scheduling (one process active at a time, channel-handoff
+// ordered) makes the shared counter race-free.
+func startGuests(sched *simclock.Scheduler, vms []*workload.VM,
+	execs []migration.GuestExecutor, q time.Duration, remaining *int) {
+	clock := sched.Clock()
+	for i, vm := range vms {
+		vm, exec := vm, execs[i]
+		sched.Go(vm.Dom.Name()+"/guest", func() {
+			for *remaining > 0 {
+				if vm.Dom.Paused() {
+					clock.Advance(q)
+				} else {
+					exec.Run(q)
+				}
+			}
+		})
+	}
+}
+
+// complete is the bookkeeping of a migration the engine finished: the
+// enforced GC, the workload downtime and — unless skipVerify, and only for
+// pre-copy completions — the destination-consistency verify. It must run at
+// the completion instant, while the engine process still holds the baton: no
+// other process has run since the engine finished, so the source store is
+// exactly what stop-and-copy shipped. It returns the workload's own failure
+// if the guest died during the migration.
+func (r *VMResult) complete(vm *workload.VM, report *migration.Report, skipVerify bool) error {
+	if werr := vm.Driver.Err; werr != nil {
+		return fmt.Errorf("fleet: workload failed during migration: %w", werr)
+	}
+	hist := vm.Heap.GCHistory()
+	for j := len(hist) - 1; j >= 0; j-- {
+		if st := hist[j]; st.Enforced {
+			r.EnforcedGC = st.Duration
+			break
+		}
+	}
+	r.WorkloadDowntime = report.VMDowntime
+	if report.EffectiveMode() == migration.ModeAppAssisted {
+		r.WorkloadDowntime += r.EnforcedGC + report.FinalUpdate
+	}
+	if !skipVerify && report.PostCopy == nil {
+		r.VerifyErr = migration.VerifyMigration(
+			vm.Dom.Store(), r.dest.Store, report.FinalTransfer,
+			vm.Guest.Frames.Allocated)
+	}
+	return nil
+}
+
+// makeSpan is the virtual time from the first engine start to the last
+// engine completion. A result with no engine window (a move abandoned before
+// its first attempt) does not count.
+func makeSpan(rs []*VMResult) time.Duration {
+	var first, last time.Duration
+	started := false
+	for _, r := range rs {
+		if r.StartAt == 0 && r.EndAt == 0 {
+			continue
+		}
+		if !started || r.StartAt < first {
+			first = r.StartAt
+			started = true
+		}
+		if r.EndAt > last {
+			last = r.EndAt
+		}
+	}
+	return last - first
+}
+
+// priceSLA attributes and prices every completed migration against model and
+// returns the fleet aggregate. Each cost is reconciled tick-for-tick against
+// its attribution before it is accepted; a result whose attribution or cost
+// does not reconcile gets the mismatch as its Err and no cost. Result i's
+// ledger is the collector's VM i plane, when one ran.
+func priceSLA(model sla.Model, rs []*VMResult, coll *fleetobs.Collector) *sla.FleetCost {
+	costs := make([]sla.Cost, 0, len(rs))
+	for i, r := range rs {
+		if r.Err != nil || r.Report == nil {
+			continue
+		}
+		var led *ledger.Ledger
+		if coll != nil {
+			led = coll.VMs()[i].Ledger
+		}
+		a := attrib.Build(r.Report, r.EnforcedGC, led)
+		if err := a.Reconcile(r.Report); err != nil {
+			r.Err = fmt.Errorf("fleet: attribution for %s does not reconcile: %w", r.Name, err)
+			continue
+		}
+		c := sla.Build(r.Name, model, a, r.Samples)
+		if err := c.Reconcile(model, a, r.Samples); err != nil {
+			r.Err = fmt.Errorf("fleet: SLA cost for %s does not reconcile: %w", r.Name, err)
+			continue
+		}
+		r.SLACost = &c
+		costs = append(costs, c)
+	}
+	f := sla.Aggregate(costs)
+	return &f
 }

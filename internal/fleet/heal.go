@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -26,13 +27,15 @@ import (
 // partially: every move ends in a typed outcome, failed moves with their
 // source VM cleanly resumed.
 
-// RetryPolicy bounds the healing layer's persistence. The zero value (with
-// Enabled false) disables healing entirely: Orchestrate behaves exactly as
-// before, one attempt per move.
+// RetryPolicy bounds the healing layer's persistence. Orchestrate runs every
+// plan through the same launch loop; the policy only sets its budgets. The
+// zero value (Enabled false) is the one-attempt policy: each move launches
+// once, a failure is final and keeps the engine's error unwrapped, nothing
+// relocates, the breaker is off and no deadline applies.
 type RetryPolicy struct {
-	// Enabled turns the healing layer on. When set, the engine's
-	// Recovery.EnableResume is forced on so failed attempts keep the
-	// destination image and mint reusable ResumeTokens.
+	// Enabled selects the healing defaults below instead of the one-attempt
+	// policy, and forces the engine's Recovery.EnableResume on so failed
+	// attempts keep the destination image and mint reusable ResumeTokens.
 	Enabled bool
 	// MaxAttempts bounds launches per move, first attempt included
 	// (default 3).
@@ -63,6 +66,16 @@ type RetryPolicy struct {
 }
 
 func (p *RetryPolicy) fillDefaults() {
+	if !p.Enabled {
+		*p = RetryPolicy{
+			MaxAttempts:       1,
+			DisableRelocation: true,
+			MoveDeadline:      noDeadline,
+			PlanDeadline:      noDeadline,
+			Breaker:           BreakerPolicy{Threshold: -1},
+		}
+		return
+	}
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = 3
 	}
@@ -83,6 +96,10 @@ func (p *RetryPolicy) fillDefaults() {
 	}
 	p.Breaker.fillDefaults()
 }
+
+// noDeadline is the one-attempt policy's move and plan deadline: later than
+// any instant the plan clock reaches.
+const noDeadline = time.Duration(math.MaxInt64)
 
 // BreakerPolicy is the per-host circuit breaker: Threshold failures within
 // Window open the host for Cooldown. An open host is excluded from
@@ -259,8 +276,8 @@ func (b *hostBreaker) open(host string, now time.Duration) (time.Duration, bool)
 	return u, true
 }
 
-// healState is the healing layer's shared launch state, mutated only under
-// the cooperative scheduler (like granted/inflight in the legacy path).
+// healState is the orchestrator's per-move launch budget state, mutated only
+// under the cooperative scheduler (like granted/inflight).
 type healState struct {
 	pol RetryPolicy
 	// pending: the move wants a (re)launch grant. abandon: the orchestrator
@@ -268,28 +285,42 @@ type healState struct {
 	pending, abandon []bool
 	// notBefore gates relaunches behind backoff/cooldown waits.
 	notBefore []time.Duration
-	// attempts counts launches; firstLaunch anchors the move deadline.
-	attempts     []int
-	firstLaunch  []time.Duration
-	launchedOnce []bool
-	breaker      *hostBreaker
-	// planEnd is the plan deadline instant (warmup + PlanDeadline; the clock
-	// starts at zero, so it is static).
+	// attempts counts granted launches; firstLaunch anchors the move
+	// deadline.
+	attempts    []int
+	firstLaunch []time.Duration
+	breaker     *hostBreaker
+	// planEnd is the plan deadline instant (warmup + PlanDeadline, saturating
+	// for noDeadline; the clock starts at zero, so it is static).
 	planEnd time.Duration
 }
 
 func newHealState(pol RetryPolicy, n int, warmup time.Duration) *healState {
-	return &healState{
-		pol:          pol,
-		pending:      make([]bool, n),
-		abandon:      make([]bool, n),
-		notBefore:    make([]time.Duration, n),
-		attempts:     make([]int, n),
-		firstLaunch:  make([]time.Duration, n),
-		launchedOnce: make([]bool, n),
-		breaker:      newHostBreaker(pol.Breaker),
-		planEnd:      warmup + pol.PlanDeadline,
+	planEnd := warmup + pol.PlanDeadline
+	if planEnd < warmup {
+		planEnd = noDeadline
 	}
+	return &healState{
+		pol:         pol,
+		pending:     make([]bool, n),
+		abandon:     make([]bool, n),
+		notBefore:   make([]time.Duration, n),
+		attempts:    make([]int, n),
+		firstLaunch: make([]time.Duration, n),
+		breaker:     newHostBreaker(pol.Breaker),
+		planEnd:     planEnd,
+	}
+}
+
+// launchesLeft reports whether any move is still unfinished with a launch
+// left in its budget: the only moves a decision tick can act on.
+func (h *healState) launchesLeft(moves []MoveResult) bool {
+	for i := range moves {
+		if moves[i].Outcome == OutcomePending && h.attempts[i] < h.pol.MaxAttempts {
+			return true
+		}
+	}
+	return false
 }
 
 // healBackoff is attempt k's backoff draw: uniform in [c/2, c] with
@@ -399,10 +430,7 @@ type HealingSummary struct {
 // Healing builds the plan's healing summary from the per-move records (and
 // the ledger's resume-refetch buckets when the observability plane ran).
 func (r *PlanResult) Healing() *HealingSummary {
-	s := &HealingSummary{}
-	if r.heal != nil {
-		s.BreakerOpens = r.heal.breaker.opens
-	}
+	s := &HealingSummary{BreakerOpens: r.heal.breaker.opens}
 	ledgers := map[string]*ledger.Ledger{}
 	if r.Obs != nil {
 		for _, vp := range r.Obs.VMs() {

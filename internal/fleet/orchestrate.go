@@ -10,9 +10,7 @@ import (
 	"javmm/internal/mem"
 	"javmm/internal/migration"
 	"javmm/internal/netsim"
-	"javmm/internal/obs/attrib"
 	"javmm/internal/obs/fleetobs"
-	"javmm/internal/obs/ledger"
 	"javmm/internal/obs/sla"
 	"javmm/internal/simclock"
 	"javmm/internal/workload"
@@ -84,10 +82,9 @@ type OrchestratorOptions struct {
 	// Admission bounds concurrency for OrderAdmission and OrderCycleAware;
 	// OrderNaive ignores it.
 	Admission AdmissionPolicy
-	// Retry, when Enabled, turns on the self-healing layer: failed moves are
-	// retried (token-reusing) or relocated under attempt/deadline budgets
-	// and a per-host circuit breaker. Disabled, Orchestrate is exactly the
-	// legacy one-attempt-per-move orchestrator.
+	// Retry sets each move's launch budget. Enabled, failed moves are retried
+	// (token-reusing) or relocated under attempt/deadline budgets and a
+	// per-host circuit breaker; disabled, every move gets one attempt.
 	Retry RetryPolicy
 
 	// Warmup is how long the guests run before the orchestrator makes its
@@ -144,9 +141,7 @@ func (o *OrchestratorOptions) fillDefaults() error {
 	if o.GuestQuantum == 0 {
 		o.GuestQuantum = time.Millisecond
 	}
-	if o.Retry.Enabled {
-		o.Retry.fillDefaults()
-	}
+	o.Retry.fillDefaults()
 	return nil
 }
 
@@ -169,9 +164,8 @@ type MoveResult struct {
 	// bounded-wait launch after QuietHorizon overrode the cycle logic.
 	QuietLaunch, Forced bool
 
-	// Outcome is the healing layer's terminal classification; Attempts the
-	// per-launch record (empty when healing is disabled — the legacy
-	// single-attempt fields StartAt/EndAt/Err tell the whole story then).
+	// Outcome is the move's terminal classification; Attempts the per-launch
+	// record, one entry for every launch the orchestrator granted.
 	Outcome  MoveOutcome
 	Attempts []Attempt
 	// Relocations counts destination re-selections; HealBackoff total
@@ -292,13 +286,14 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 			return nil, err
 		}
 	}
-	res := &PlanResult{Ordering: opts.Ordering, faults: opts.Faults}
-	if len(moves) == 0 {
+	n := len(moves)
+	heal := newHealState(opts.Retry, n, opts.Warmup)
+	res := &PlanResult{Ordering: opts.Ordering, faults: opts.Faults, heal: heal}
+	if n == 0 {
 		// An empty plan is a successful no-op: nothing to boot, nothing to
 		// move, empty accounting.
 		return res, nil
 	}
-	n := len(moves)
 
 	clock := simclock.New()
 	if opts.Faults == nil && len(opts.FaultPlan) > 0 {
@@ -443,384 +438,258 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 	inflight := make([]bool, n)
 	adm := newAdmissionState(opts.Admission)
 	remaining := n
-	var heal *healState
-	if opts.Retry.Enabled {
-		heal = newHealState(opts.Retry, n, opts.Warmup)
-		res.heal = heal
+	execs := make([]migration.GuestExecutor, n)
+	for i, vm := range vms {
+		execs[i] = vm.Driver
 	}
+	startGuests(sched, vms, execs, opts.GuestQuantum, &remaining)
 
-	for i := range vms {
-		vm := vms[i]
-		q := opts.GuestQuantum
-		sched.Go(vm.Dom.Name()+"/guest", func() {
-			for remaining > 0 {
-				if vm.Dom.Paused() {
-					clock.Advance(q)
-				} else {
-					vm.Driver.Run(q)
-				}
-			}
-		})
-	}
-	// finishMove is the shared success bookkeeping: workload downtime
-	// attribution and the completion-instant verify.
-	finishMove := func(i int, report *migration.Report) {
-		vm, m := vms[i], &res.Moves[i]
-		hist := vm.Heap.GCHistory()
-		for j := len(hist) - 1; j >= 0; j-- {
-			if st := hist[j]; st.Enforced {
-				m.EnforcedGC = st.Duration
-				break
-			}
-		}
-		m.WorkloadDowntime = report.VMDowntime
-		if report.EffectiveMode() == migration.ModeAppAssisted {
-			m.WorkloadDowntime += m.EnforcedGC + report.FinalUpdate
-		}
-		// Verify at the completion instant, while this process still
-		// holds the baton (see fleet.Run).
-		if !opts.SkipVerify && report.PostCopy == nil {
-			m.VerifyErr = migration.VerifyMigration(
-				vm.Dom.Store(), m.src.Dest.Store, report.FinalTransfer,
-				m.guest.Allocated)
-		}
-	}
-
+	// One engine process per move: wait for a grant, run the attempt, and
+	// either finish the move or — while its budget lasts — classify the
+	// failure, relocate off a lost destination, and ask for a relaunch after
+	// a backoff.
+	pol := &opts.Retry
 	for i := range vms {
 		i := i
 		vm := vms[i]
 		m := &res.Moves[i]
-		if opts.Retry.Enabled {
-			plane := planes[i]
-			pol := &opts.Retry
-			sched.Go(vm.Dom.Name()+"/engine", func() {
-				defer func() { remaining-- }()
-				// Per-move jitter PRNG: the whole healing schedule replays
-				// byte-identically at the same policy seed.
-				rng := rand.New(rand.NewSource(pol.Seed + int64(i)))
-				var token *migration.ResumeToken
-				for {
-					sched.Wait(func() bool { return granted[i] || heal.abandon[i] }, opts.DecisionQuantum)
-					if heal.abandon[i] {
-						m.Outcome = OutcomeFailed
-						if m.Err == nil {
-							m.Err = fmt.Errorf("fleet: heal: %s: plan deadline %v exceeded before launch",
-								m.Name, pol.PlanDeadline)
-						} else {
-							m.Err = fmt.Errorf("fleet: heal: %s: deadline exhausted: %w", m.Name, m.Err)
-						}
-						return
-					}
-					heal.attempts[i]++
-					att := Attempt{
-						To: m.To, Route: append([]string(nil), m.Route...),
-						StartAt: clock.Now(), TokenReused: token != nil,
-					}
-					if heal.attempts[i] == 1 {
-						m.StartAt = att.StartAt
-					}
-					var report *migration.Report
-					var err error
-					if token != nil {
-						report, err = m.src.Resume(token)
-					} else {
-						report, err = m.src.Migrate()
-					}
-					att.EndAt = clock.Now()
-					m.EndAt = att.EndAt
-					m.Report = report
-					inflight[i] = false
-					granted[i] = false
-					if opts.Ordering != OrderNaive {
-						adm.release(att.Route, att.To)
-					}
-					if report != nil && report.Resume != nil {
-						att.SavedBytes = report.Resume.SavedBytes
-						att.RefetchPages = report.Resume.RefetchPages
-						m.TokenSavedBytes += report.Resume.SavedBytes
-					}
-					if err == nil {
-						m.Attempts = append(m.Attempts, att)
-						m.Err = nil
-						if werr := vm.Driver.Err; werr != nil {
-							m.Err = fmt.Errorf("fleet: workload failed during migration: %w", werr)
-							m.Outcome = OutcomeFailed
-							return
-						}
-						switch {
-						case m.Relocations > 0:
-							m.Outcome = OutcomeRelocated
-						case heal.attempts[i] > 1:
-							m.Outcome = OutcomeRetried
-						default:
-							m.Outcome = OutcomeCompleted
-						}
-						finishMove(i, report)
-						return
-					}
-					// Failure: classify, feed the breaker, keep the freshest
-					// token (a discarded image's token is worthless — Resume
-					// degrades on it — but carrying it is harmless).
-					att.Err = err.Error()
-					permanent := errors.Is(err, migration.ErrDestinationLost)
-					att.Transient = !permanent
-					m.Err = err
-					failedHost := m.To
-					if heal.breaker.fail(failedHost, clock.Now()) && coll != nil {
-						coll.FleetMetrics().Counter("fleet.heal.breaker_opens").Inc()
-					}
-					if report != nil && report.Recovery != nil && report.Recovery.Token != nil {
-						token = report.Recovery.Token
-					}
-					now := clock.Now()
-					if heal.attempts[i] >= pol.MaxAttempts {
-						m.Attempts = append(m.Attempts, att)
-						m.Err = fmt.Errorf("fleet: heal: %s: %d attempts exhausted: %w",
-							m.Name, heal.attempts[i], err)
-						m.Outcome = OutcomeFailed
-						return
-					}
-					if now >= heal.planEnd || now-heal.firstLaunch[i] >= pol.MoveDeadline {
-						m.Attempts = append(m.Attempts, att)
-						m.Err = fmt.Errorf("fleet: heal: %s: deadline blown after %d attempts: %w",
-							m.Name, heal.attempts[i], err)
-						m.Outcome = OutcomeFailed
-						return
-					}
-					if permanent && !pol.DisableRelocation {
-						newTo, rerr := heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
-						for rerr != nil {
-							// All candidates breaker-open: wait out the
-							// earliest cooldown if the deadlines allow — a
-							// bounded sleep, not a spin — then re-select.
-							var ho *HostOpenError
-							if !errors.As(rerr, &ho) {
-								break
-							}
-							if ho.Until >= heal.planEnd ||
-								ho.Until-heal.firstLaunch[i] >= pol.MoveDeadline {
-								break
-							}
-							sched.Sleep(ho.Until - clock.Now())
-							newTo, rerr = heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
-						}
-						if rerr != nil {
-							m.Attempts = append(m.Attempts, att)
-							m.Err = fmt.Errorf("fleet: heal: %s: cannot relocate off %s: %w",
-								m.Name, failedHost, rerr)
-							m.Outcome = OutcomeFailed
-							return
-						}
-						port, derr := fabric.Dial(m.From, newTo)
-						route, rterr := fabric.Route(m.From, newTo)
-						if derr != nil || rterr != nil {
-							m.Attempts = append(m.Attempts, att)
-							m.Err = fmt.Errorf("fleet: heal: %s: rewiring to %s: %w",
-								m.Name, newTo, errors.Join(derr, rterr))
-							m.Outcome = OutcomeFailed
-							return
-						}
-						ndest := migration.NewDestination(vm.Dom.NumPages())
-						ndest.SetHostName(newTo)
-						if opts.Faults != nil {
-							ndest.SetFaults(opts.Faults)
-						}
-						if plane != nil {
-							port.SetMetrics(plane.Metrics)
-							ndest.SetMetrics(plane.Metrics)
-						}
-						m.src.Link = port
-						m.src.Dest = ndest
-						m.dest = ndest
-						m.To = newTo
-						m.Route = route
-						m.Relocations++
-						if coll != nil {
-							coll.FleetMetrics().Counter("fleet.heal.relocations").Inc()
-						}
-					}
-					d := healBackoff(rng, pol, heal.attempts[i])
-					att.Backoff = d
-					m.HealBackoff += d
-					heal.notBefore[i] = clock.Now() + d
-					if until, open := heal.breaker.open(m.To, clock.Now()); open && until > heal.notBefore[i] {
-						heal.notBefore[i] = until
-					}
-					m.Attempts = append(m.Attempts, att)
-					heal.pending[i] = true
-					if coll != nil {
-						fm := coll.FleetMetrics()
-						fm.Counter("fleet.heal.retries").Inc()
-						fm.Counter("fleet.heal.backoff_ns").AddDuration(d)
-					}
-				}
-			})
-			continue
-		}
+		plane := planes[i]
 		sched.Go(vm.Dom.Name()+"/engine", func() {
 			defer func() { remaining-- }()
-			sched.Wait(func() bool { return granted[i] }, opts.DecisionQuantum)
-			m.StartAt = clock.Now()
-			report, err := m.src.Migrate()
-			m.EndAt = clock.Now()
-			m.Report = report
-			inflight[i] = false
-			if opts.Ordering != OrderNaive {
-				adm.release(m.Route, m.To)
-			}
-			if err != nil {
+			// Per-move jitter PRNG: the whole healing schedule replays
+			// byte-identically at the same policy seed.
+			rng := rand.New(rand.NewSource(pol.Seed + int64(i)))
+			var token *migration.ResumeToken
+			for {
+				sched.Wait(func() bool { return granted[i] || heal.abandon[i] }, opts.DecisionQuantum)
+				if heal.abandon[i] {
+					m.Outcome = OutcomeFailed
+					if m.Err == nil {
+						m.Err = fmt.Errorf("fleet: heal: %s: plan deadline %v exceeded before launch",
+							m.Name, pol.PlanDeadline)
+					} else {
+						m.Err = fmt.Errorf("fleet: heal: %s: deadline exhausted: %w", m.Name, m.Err)
+					}
+					return
+				}
+				att := Attempt{
+					To: m.To, Route: append([]string(nil), m.Route...),
+					StartAt: clock.Now(), TokenReused: token != nil,
+				}
+				if heal.attempts[i] == 1 {
+					m.StartAt = att.StartAt
+				}
+				var report *migration.Report
+				var err error
+				if token != nil {
+					report, err = m.src.Resume(token)
+				} else {
+					report, err = m.src.Migrate()
+				}
+				att.EndAt = clock.Now()
+				m.EndAt = att.EndAt
+				m.Report = report
+				inflight[i] = false
+				granted[i] = false
+				if opts.Ordering != OrderNaive {
+					adm.release(att.Route, att.To)
+				}
+				if report != nil && report.Resume != nil {
+					att.SavedBytes = report.Resume.SavedBytes
+					att.RefetchPages = report.Resume.RefetchPages
+					m.TokenSavedBytes += report.Resume.SavedBytes
+				}
+				if err == nil {
+					m.Attempts = append(m.Attempts, att)
+					if m.Err = m.complete(vm, report, opts.SkipVerify); m.Err != nil {
+						m.Outcome = OutcomeFailed
+						return
+					}
+					switch {
+					case m.Relocations > 0:
+						m.Outcome = OutcomeRelocated
+					case heal.attempts[i] > 1:
+						m.Outcome = OutcomeRetried
+					default:
+						m.Outcome = OutcomeCompleted
+					}
+					return
+				}
+				// Failure: classify, feed the breaker, keep the freshest
+				// token (a discarded image's token is worthless — Resume
+				// degrades on it — but carrying it is harmless).
+				att.Err = err.Error()
+				permanent := errors.Is(err, migration.ErrDestinationLost)
+				att.Transient = !permanent
 				m.Err = err
-				m.Outcome = OutcomeFailed
-				return
+				failedHost := m.To
+				if heal.breaker.fail(failedHost, clock.Now()) && coll != nil {
+					coll.FleetMetrics().Counter("fleet.heal.breaker_opens").Inc()
+				}
+				if report != nil && report.Recovery != nil && report.Recovery.Token != nil {
+					token = report.Recovery.Token
+				}
+				now := clock.Now()
+				if heal.attempts[i] >= pol.MaxAttempts {
+					m.Attempts = append(m.Attempts, att)
+					if pol.MaxAttempts > 1 {
+						m.Err = fmt.Errorf("fleet: heal: %s: %d attempts exhausted: %w",
+							m.Name, heal.attempts[i], err)
+					}
+					m.Outcome = OutcomeFailed
+					return
+				}
+				if now >= heal.planEnd || now-heal.firstLaunch[i] >= pol.MoveDeadline {
+					m.Attempts = append(m.Attempts, att)
+					m.Err = fmt.Errorf("fleet: heal: %s: deadline blown after %d attempts: %w",
+						m.Name, heal.attempts[i], err)
+					m.Outcome = OutcomeFailed
+					return
+				}
+				if permanent && !pol.DisableRelocation {
+					newTo, rerr := heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
+					for rerr != nil {
+						// All candidates breaker-open: wait out the earliest
+						// cooldown if the deadlines allow — a bounded sleep,
+						// not a spin — then re-select.
+						var ho *HostOpenError
+						if !errors.As(rerr, &ho) {
+							break
+						}
+						if ho.Until >= heal.planEnd ||
+							ho.Until-heal.firstLaunch[i] >= pol.MoveDeadline {
+							break
+						}
+						sched.Sleep(ho.Until - clock.Now())
+						newTo, rerr = heal.pickDestination(&opts, res, moves, i, failedHost, clock.Now())
+					}
+					if rerr != nil {
+						m.Attempts = append(m.Attempts, att)
+						m.Err = fmt.Errorf("fleet: heal: %s: cannot relocate off %s: %w",
+							m.Name, failedHost, rerr)
+						m.Outcome = OutcomeFailed
+						return
+					}
+					port, derr := fabric.Dial(m.From, newTo)
+					route, rterr := fabric.Route(m.From, newTo)
+					if derr != nil || rterr != nil {
+						m.Attempts = append(m.Attempts, att)
+						m.Err = fmt.Errorf("fleet: heal: %s: rewiring to %s: %w",
+							m.Name, newTo, errors.Join(derr, rterr))
+						m.Outcome = OutcomeFailed
+						return
+					}
+					ndest := migration.NewDestination(vm.Dom.NumPages())
+					ndest.SetHostName(newTo)
+					if opts.Faults != nil {
+						ndest.SetFaults(opts.Faults)
+					}
+					if plane != nil {
+						port.SetMetrics(plane.Metrics)
+						ndest.SetMetrics(plane.Metrics)
+					}
+					m.src.Link = port
+					m.src.Dest = ndest
+					m.dest = ndest
+					m.To = newTo
+					m.Route = route
+					m.Relocations++
+					if coll != nil {
+						coll.FleetMetrics().Counter("fleet.heal.relocations").Inc()
+					}
+				}
+				d := healBackoff(rng, pol, heal.attempts[i])
+				att.Backoff = d
+				m.HealBackoff += d
+				heal.notBefore[i] = clock.Now() + d
+				if until, open := heal.breaker.open(m.To, clock.Now()); open && until > heal.notBefore[i] {
+					heal.notBefore[i] = until
+				}
+				m.Attempts = append(m.Attempts, att)
+				heal.pending[i] = true
+				if coll != nil {
+					fm := coll.FleetMetrics()
+					fm.Counter("fleet.heal.retries").Inc()
+					fm.Counter("fleet.heal.backoff_ns").AddDuration(d)
+				}
 			}
-			if werr := vm.Driver.Err; werr != nil {
-				m.Err = fmt.Errorf("fleet: workload failed during migration: %w", werr)
-				m.Outcome = OutcomeFailed
-				return
-			}
-			m.Outcome = OutcomeCompleted
-			finishMove(i, report)
 		})
 	}
 
 	// The orchestrator process: one decision tick every DecisionQuantum,
-	// granting launches in compiled plan order. With healing enabled it
-	// keeps ticking for the plan's whole life, re-granting retries and
-	// relocations through the same decision logic (admission and cycle
-	// policy hold across relaunches) and abandoning moves whose deadlines
-	// passed; without it, the legacy single-grant loop runs unchanged.
+	// granting launches in compiled plan order. Relaunches go through the
+	// same decision logic as first launches, so admission and cycle policy
+	// hold across retries and relocations, and moves whose deadlines passed
+	// are abandoned. It ticks only while an unfinished move still has a
+	// launch left in its budget: under the one-attempt policy it exits right
+	// after the last grant instead of idling the plan clock past the last
+	// completion.
 	sched.Go("orchestrator", func() {
 		if d := opts.Warmup - clock.Now(); d > 0 {
 			sched.Sleep(d)
 		}
 		for i := range res.Moves {
 			res.Moves[i].EligibleAt = clock.Now()
+			heal.pending[i] = true
 		}
-		if heal != nil {
-			for i := range heal.pending {
-				heal.pending[i] = true
-			}
-			for remaining > 0 {
-				now := clock.Now()
-				for i := range res.Moves {
-					if !heal.pending[i] || granted[i] || heal.abandon[i] {
-						continue
-					}
-					m := &res.Moves[i]
-					if now >= heal.planEnd ||
-						(heal.launchedOnce[i] && now-heal.firstLaunch[i] >= opts.Retry.MoveDeadline) {
-						heal.abandon[i] = true
-						heal.pending[i] = false
-						continue
-					}
-					if now < heal.notBefore[i] {
-						continue // backoff/cooldown gate, not a deferral
-					}
-					if _, open := heal.breaker.open(m.To, now); open {
-						continue
-					}
-					if decideLaunch(&opts, res, profs, lastProgress, haveProgress, inflight, adm, i) {
-						if !heal.launchedOnce[i] {
-							m.LaunchedAt = now
-							m.QuietLaunch = profs[i].Cycle.Enabled() && profs[i].Cycle.QuietAt(now)
-							heal.launchedOnce[i] = true
-							heal.firstLaunch[i] = now
-						}
-						granted[i] = true
-						inflight[i] = true
-						if opts.Ordering != OrderNaive {
-							adm.admit(m.Route, m.To)
-						}
-						heal.pending[i] = false
-					} else {
-						m.Deferrals++
-					}
-				}
-				if remaining > 0 {
-					sched.Sleep(opts.DecisionQuantum)
-				}
-			}
-			return
-		}
-		launched := 0
-		for launched < n {
+		for heal.launchesLeft(res.Moves) {
+			now := clock.Now()
 			for i := range res.Moves {
-				if granted[i] {
+				if !heal.pending[i] || granted[i] || heal.abandon[i] {
 					continue
 				}
 				m := &res.Moves[i]
+				if now >= heal.planEnd ||
+					(heal.attempts[i] > 0 && now-heal.firstLaunch[i] >= pol.MoveDeadline) {
+					heal.abandon[i] = true
+					heal.pending[i] = false
+					continue
+				}
+				if now < heal.notBefore[i] {
+					continue // backoff/cooldown gate, not a deferral
+				}
+				if _, open := heal.breaker.open(m.To, now); open {
+					continue
+				}
 				if decideLaunch(&opts, res, profs, lastProgress, haveProgress, inflight, adm, i) {
-					m.LaunchedAt = clock.Now()
-					m.QuietLaunch = profs[i].Cycle.Enabled() && profs[i].Cycle.QuietAt(clock.Now())
+					if heal.attempts[i] == 0 {
+						m.LaunchedAt = now
+						m.QuietLaunch = profs[i].Cycle.Enabled() && profs[i].Cycle.QuietAt(now)
+						heal.firstLaunch[i] = now
+					}
+					heal.attempts[i]++
 					granted[i] = true
 					inflight[i] = true
 					if opts.Ordering != OrderNaive {
 						adm.admit(m.Route, m.To)
 					}
-					launched++
+					heal.pending[i] = false
 				} else {
 					m.Deferrals++
 				}
 			}
-			if launched < n {
+			if heal.launchesLeft(res.Moves) {
 				sched.Sleep(opts.DecisionQuantum)
 			}
 		}
 	})
 	sched.Run()
 
-	var first, last time.Duration
-	started := false
+	rs := make([]*VMResult, n)
 	for i := range res.Moves {
-		m := &res.Moves[i]
-		if m.StartAt == 0 && m.EndAt == 0 {
-			continue // abandoned before its first attempt: no span to count
-		}
-		if !started || m.StartAt < first {
-			first = m.StartAt
-			started = true
-		}
-		if m.EndAt > last {
-			last = m.EndAt
-		}
+		rs[i] = &res.Moves[i].VMResult
+		rs[i].Samples = vms[i].Driver.Samples()
 	}
-	res.MakeSpan = last - first
+	res.MakeSpan = makeSpan(rs)
 	res.Fabric = fabric.Report()
 	res.Obs = coll
-	for i := range res.Moves {
-		res.Moves[i].Samples = vms[i].Driver.Samples()
-	}
 	// The standing fabric invariant: fair-share settling may not lose or
 	// invent bytes, on any link, after any plan.
 	if err := res.Fabric.VerifyConservation(); err != nil {
 		return nil, fmt.Errorf("fleet: after %s plan: %w", opts.Ordering, err)
 	}
 	if opts.SLA != nil {
-		costs := make([]sla.Cost, 0, n)
-		for i := range res.Moves {
-			m := &res.Moves[i]
-			if m.Err != nil || m.Report == nil {
-				continue
-			}
-			var led *ledger.Ledger
-			if coll != nil {
-				led = coll.VMs()[i].Ledger
-			}
-			a := attrib.Build(m.Report, m.EnforcedGC, led)
-			if err := a.Reconcile(m.Report); err != nil {
-				m.Err = fmt.Errorf("fleet: attribution for %s does not reconcile: %w", m.Name, err)
-				continue
-			}
-			c := sla.Build(m.Name, *opts.SLA, a, m.Samples)
-			if err := c.Reconcile(*opts.SLA, a, m.Samples); err != nil {
-				m.Err = fmt.Errorf("fleet: SLA cost for %s does not reconcile: %w", m.Name, err)
-				continue
-			}
-			m.SLACost = &c
-			costs = append(costs, c)
-		}
-		f := sla.Aggregate(costs)
-		res.SLA = &f
+		res.SLA = priceSLA(*opts.SLA, rs, coll)
 	}
 	return res, nil
 }
@@ -841,7 +710,7 @@ func decideLaunch(opts *OrchestratorOptions, res *PlanResult, profs []workload.P
 	if !adm.admissible(m.Route, m.To) {
 		return false
 	}
-	now := opts.clockNow(res)
+	now := res.clock.Now()
 	if now-m.EligibleAt >= opts.QuietHorizon {
 		// Bounded wait: the move has been deferred long enough; launch at
 		// the first admissible tick no matter what the cycle says.
@@ -863,7 +732,10 @@ func decideLaunch(opts *OrchestratorOptions, res *PlanResult, profs []workload.P
 	bw := opts.Cluster.bottleneckBandwidth(m.Route, m.From, m.To)
 	rate := float64(bw) / float64(sharers)
 	dirty := predictedDirtyByteRate(profs[i]) * cyc.ActivityAt(now)
-	if _, conv := migration.EstimateETA(moveMemBytes(m, profs[i]), rate, dirty); !conv {
+	// The bytes remaining are the VM's whole memory: the first pre-copy
+	// round ships everything.
+	memBytes := m.src.Dom.NumPages() * mem.PageSize
+	if _, conv := migration.EstimateETA(memBytes, rate, dirty); !conv {
 		return false
 	}
 	// Dynamic back-pressure: an in-flight migration on a shared link that
@@ -880,11 +752,6 @@ func decideLaunch(opts *OrchestratorOptions, res *PlanResult, profs []workload.P
 		}
 	}
 	return true
-}
-
-// clockNow reads the plan clock (indirection keeps decideLaunch testable).
-func (o *OrchestratorOptions) clockNow(res *PlanResult) time.Duration {
-	return res.clock.Now()
 }
 
 func routesOverlap(a, b []string) bool {
@@ -904,14 +771,4 @@ func routesOverlap(a, b []string) bool {
 func predictedDirtyByteRate(p workload.Profile) float64 {
 	pages := p.OldMutatePagesPerSec + p.JITPagesPerSec + p.KernelPagesPerSec
 	return float64(p.AllocBytesPerSec) + pages*float64(mem.PageSize)
-}
-
-// moveMemBytes is the bytes-remaining estimate for the convergence
-// prediction: the VM's whole memory (the first pre-copy round ships
-// everything).
-func moveMemBytes(m *MoveResult, prof workload.Profile) uint64 {
-	if m.src != nil {
-		return m.src.Dom.NumPages() * mem.PageSize
-	}
-	return prof.MaxYoungBytes + prof.MaxOldBytes
 }

@@ -246,9 +246,10 @@ type (
 	PlanMoveResult = fleet.MoveResult
 	// PlanResult is a whole executed batch plan.
 	PlanResult = fleet.PlanResult
-	// RetryPolicy is the self-healing layer's budget: per-move retries with
+	// RetryPolicy is each move's launch budget: per-move retries with
 	// seeded backoff, move/plan deadlines, destination re-selection and a
-	// per-host circuit breaker (OrchestratorOptions.Retry; DESIGN.md §18).
+	// per-host circuit breaker when Enabled, one attempt per move otherwise
+	// (OrchestratorOptions.Retry; DESIGN.md §18).
 	RetryPolicy = fleet.RetryPolicy
 	// BreakerPolicy is the per-host circuit breaker inside a RetryPolicy:
 	// K failures inside a window open the host; it rejoins re-selection
