@@ -308,7 +308,7 @@ func BenchmarkEngine_JavmmDerbyStageProfile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stages := perf.NewProfiler(perf.WithAllocs())
+	stages := perf.NewProfiler()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.RunMigration(experiments.RunOpts{
 			Profile: prof, Mode: migration.ModeAppAssisted, Seed: int64(i),

@@ -460,7 +460,7 @@ func cells(o options) []cell {
 // cooperative yield, so its stack stays consistent); PagesPerSec is still
 // per scenario.
 func runCell(c cell, o options) ([]perf.Scenario, error) {
-	prof := javmm.NewStageProfiler()
+	prof := perf.NewProfiler()
 	dets, awall, _, err := c.once(prof)
 	if err != nil {
 		return nil, err
@@ -471,13 +471,14 @@ func runCell(c cell, o options) ([]perf.Scenario, error) {
 		if awall > 0 {
 			share = float64(st.SelfNs) / float64(awall)
 		}
+		// AllocBytes stays 0: the profiler reads allocation per engine
+		// iteration, not per stage (see perf.StageShare).
 		stages = append(stages, perf.StageShare{
-			Stage:      st.Stage,
-			Calls:      st.Calls,
-			SelfNs:     st.SelfNs,
-			TotalNs:    st.TotalNs,
-			AllocBytes: st.SelfAllocBytes,
-			Share:      share,
+			Stage:   st.Stage,
+			Calls:   st.Calls,
+			SelfNs:  st.SelfNs,
+			TotalNs: st.TotalNs,
+			Share:   share,
 		})
 	}
 

@@ -96,9 +96,9 @@ func defineFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.HealOut, "heal-out", "", "with -retry: write the healing summary (per-move outcomes, retries, relocations, token savings) as JSON to this file (javmm-analyze -heal ingests it)")
 	fs.BoolVar(&o.Resume, "resume", false, "on a clean abort, keep the destination image and resume the migration from the minted token (faults detached)")
 	fs.BoolVar(&o.Verify, "verify", true, "end-to-end page-digest audit: detect and repair in-flight corruption at switchover (-verify=false ablates it)")
-	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (stages carry pprof labels)")
+	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
-	fs.BoolVar(&o.StageProfile, "stage-profile", false, "print the real-clock per-stage wall/allocation table after migration")
+	fs.BoolVar(&o.StageProfile, "stage-profile", false, "print the real-clock per-stage wall-time table and per-iteration allocation after migration")
 }
 
 // options collects every CLI knob; run is pure in it so tests drive the full
@@ -207,11 +207,10 @@ func run(o options, out io.Writer) error {
 		vm.Heap.YoungCommitted()>>20, vm.Heap.OldUsed()>>20, len(vm.Heap.GCHistory()))
 
 	engine := javmm.EngineConfig{Compress: o.Compress}
-	// The stage profiler feeds the -stage-profile table; under -cpuprofile it
-	// is attached for its pprof goroutine labels alone, so samples group by
-	// engine stage in `go tool pprof`.
+	// The stage profiler feeds the -stage-profile table. A -cpuprofile run
+	// needs no profiler: each stage's own functions name its samples.
 	var stages *javmm.StageProfiler
-	if o.StageProfile || o.CPUProfile != "" {
+	if o.StageProfile {
 		stages = javmm.NewStageProfiler()
 		engine.Perf = stages
 	}
@@ -808,8 +807,9 @@ func writeFleetSLA(path string, f javmm.FleetSLACost) error {
 }
 
 // printStageProfile renders the real-clock per-stage account: where the
-// simulator itself spent wall time and heap allocation, self-attributed (a
-// stage's row excludes the stages it called into).
+// simulator itself spent wall time, self-attributed (a stage's row excludes
+// the stages it called into), then the exact heap allocation of each engine
+// iteration.
 func printStageProfile(out io.Writer, stages *javmm.StageProfiler) {
 	snap := stages.Snapshot()
 	if len(snap) == 0 {
@@ -820,20 +820,31 @@ func printStageProfile(out io.Writer, stages *javmm.StageProfiler) {
 	for _, s := range snap {
 		totalSelf += s.SelfNs
 	}
-	fmt.Fprintf(out, "\nstage profile (real clock, self-attributed):\n")
+	fmt.Fprintf(out, "\nstage profile (real clock, self-attributed; per-page stages sampled, times scaled to all calls):\n")
 	fmt.Fprintf(out, "  %-22s %12s %12s %12s %12s %7s\n",
-		"stage", "calls", "self", "total", "self-alloc", "share")
+		"stage", "calls", "timed", "self", "total", "share")
 	for _, s := range snap {
 		share := 0.0
 		if totalSelf > 0 {
 			share = float64(s.SelfNs) / float64(totalSelf) * 100
 		}
-		fmt.Fprintf(out, "  %-22s %12d %12v %12v %12s %6.1f%%\n",
-			s.Stage, s.Calls,
+		fmt.Fprintf(out, "  %-22s %12d %12d %12v %12v %6.1f%%\n",
+			s.Stage, s.Calls, s.Timed,
 			time.Duration(s.SelfNs).Round(time.Microsecond),
 			time.Duration(s.TotalNs).Round(time.Microsecond),
-			mb(s.SelfAllocBytes), share)
+			share)
 	}
+	fmt.Fprintf(out, "allocation (exact, read at iteration boundaries):\n")
+	var total uint64
+	for _, a := range stages.Allocs() {
+		label := fmt.Sprintf("iteration %d", a.Iteration)
+		if a.Iteration == 0 {
+			label = "after last iteration"
+		}
+		fmt.Fprintf(out, "  %-22s %12s\n", label, mb(a.Bytes))
+		total += a.Bytes
+	}
+	fmt.Fprintf(out, "  %-22s %12s\n", "total", mb(total))
 }
 
 // writeMetrics exports the snapshot as JSON (readable back with

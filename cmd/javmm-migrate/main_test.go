@@ -38,6 +38,30 @@ func TestRunJavmmMode(t *testing.T) {
 	}
 }
 
+func TestRunStageProfile(t *testing.T) {
+	o := base()
+	o.StageProfile = true
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"stage profile (real clock",
+		"skip-policy                  771295",
+		"allocation (exact, read at iteration boundaries):",
+		"  iteration 1 ",
+		"  after last iteration ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-stage-profile output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "self-alloc") {
+		t.Error("-stage-profile still prints a per-stage allocation column")
+	}
+}
+
 func TestRunXenModeWithYoungOverride(t *testing.T) {
 	o := base()
 	o.Workload = "compiler"

@@ -149,9 +149,10 @@ type Config struct {
 	// reconcile exactly with the Report (attrib.Build checks this).
 	Ledger *ledger.Ledger
 
-	// Perf, if non-nil, is the real-clock stage profiler: every bound stage
-	// is wrapped so its wall time and allocations are attributed to the
-	// perf.Stage taxonomy (see perfstages.go). Unlike Tracer/Metrics/Ledger,
+	// Perf, if non-nil, is the real-clock stage profiler: every stage call is
+	// counted and attributed to the perf.Stage taxonomy, per-page calls on a
+	// sampled stride (see perfstages.go), and each iteration's heap
+	// allocation is read at its boundary. Unlike Tracer/Metrics/Ledger,
 	// which run on the virtual clock and are part of the deterministic
 	// contract, Perf measures the simulator itself and MUST NOT change any
 	// report — the bench harness asserts that transparency every run.

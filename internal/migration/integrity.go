@@ -111,8 +111,11 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 	if ig == nil || s.Cfg.Integrity.Disable {
 		return nil
 	}
-	s.Cfg.Perf.Enter(perf.StageDigestAudit)
-	defer s.Cfg.Perf.Exit()
+	// Once per fetched page: sampled, unlike the audit loops.
+	if prof := s.Cfg.Perf; prof.Sampled(perf.StageDigestAudit) {
+		prof.Enter(perf.StageDigestAudit)
+		defer prof.Exit()
+	}
 	ig.stats.PagesAudited++
 	got, ok := ig.dsink.PageDigestAt(p)
 	if !ok || got != ig.expect[p] {
@@ -147,7 +150,13 @@ func (s *Source) verifyFetch(p mem.PFN) error {
 // counts as a repair.
 func (s *Source) lazyDeliver(p mem.PFN) error {
 	payload := s.Dom.Store().Export(p)
-	if err := s.sink.ReceivePage(p, s.wirePayload(p, payload)); err != nil {
+	var err error
+	if s.Cfg.Perf.Sampled(perf.StagePageSink) {
+		err = s.receiveTimed(p, s.wirePayload(p, payload))
+	} else {
+		err = s.sink.ReceivePage(p, s.wirePayload(p, payload))
+	}
+	if err != nil {
 		return err
 	}
 	s.recordExpected(p, payload)
@@ -240,7 +249,8 @@ func (s *Source) auditIntegrity(st *IterationStats, iter int) {
 		}
 		for _, p := range bad {
 			payload := s.Dom.Store().Export(p)
-			w, encodeCPU := s.codec.Encode(p, rawWire)
+			// Inside the timed digest-audit stage every codec call is timed.
+			w, encodeCPU := s.encodeTimed(p, rawWire)
 			var d time.Duration
 			send := func() error {
 				var err error

@@ -36,6 +36,7 @@ import (
 	"javmm/internal/netsim"
 	"javmm/internal/obs"
 	"javmm/internal/obs/ledger"
+	"javmm/internal/obs/perf"
 	"javmm/internal/simclock"
 )
 
@@ -168,6 +169,8 @@ func (s *Source) migratePreCopy() (*Report, error) {
 		return nil, err
 	}
 	s.Cfg.FillDefaults()
+	s.Cfg.Perf.BeginRun()
+	defer s.Cfg.Perf.EndRun()
 	s.report = &Report{Mode: s.Cfg.Mode}
 	s.sentBytes = 0
 	s.aborted = false
@@ -351,7 +354,7 @@ func (s *Source) migratePreCopy() (*Report, error) {
 	}
 
 	// Stop-and-copy.
-	s.report.FinalTransfer = s.skip.FinalTransfer(n)
+	s.report.FinalTransfer = s.finalTransfer(n)
 	s.Dom.Pause()
 	s.Cfg.Tracer.Emit(obs.TrackMigration, obs.KindSuspend, "vm-suspend", nil)
 	pausedSpan := s.Cfg.Tracer.Begin(obs.TrackMigration, obs.KindVMPaused, "vm-paused")
@@ -424,11 +427,12 @@ func iterationName(index int, last bool) string {
 }
 
 // notifyIteration streams a completed iteration to the event bus (which
-// carries the OnIteration subscription when a tracer is configured) and
-// accumulates the iteration's counters. Every iteration appended to the
-// report passes through here exactly once, so the counters reconcile with
-// the report's sums.
+// carries the OnIteration subscription when a tracer is configured),
+// accumulates the iteration's counters and closes the stage profiler's
+// allocation segment. Every iteration appended to the report passes through
+// here exactly once, so the counters reconcile with the report's sums.
 func (s *Source) notifyIteration(st IterationStats) {
+	s.Cfg.Perf.EndIteration(st.Index)
 	if t := s.Cfg.Tracer; t != nil {
 		t.Emit(obs.TrackMigration, obs.KindIterationStats, iterationName(st.Index, st.Last), st,
 			obs.Int("index", st.Index),
@@ -526,6 +530,7 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 	dirtyBefore := s.Dom.DirtyEvents()
 
 	rawWire := s.Dom.Store().WireSize()
+	prof := s.Cfg.Perf
 
 	type pagePayload struct {
 		pfn     mem.PFN
@@ -606,7 +611,13 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 			return false
 		}
 		s.report.CPUTime += s.Cfg.PageExamineCost
-		switch r := s.skip.Skip(p); r {
+		var r SkipReason
+		if prof.Sampled(perf.StageSkipPolicy) {
+			r = s.skipTimed(p)
+		} else {
+			r = s.skip.Skip(p)
+		}
+		switch r {
 		case SkipBitmap:
 			st.PagesSkippedBitmap++
 			s.Cfg.Ledger.PageSkipped(p, index, rawWire, r.ledgerReason())
@@ -629,7 +640,13 @@ func (s *Source) runIteration(index int, toSend *mem.Bitmap, last bool) Iteratio
 			s.Cfg.Ledger.PageSkipped(p, index, rawWire, ledger.SkipDirty)
 			return true
 		}
-		w, encodeCPU := s.codec.Encode(p, rawWire)
+		var w uint64
+		var encodeCPU time.Duration
+		if prof.Sampled(perf.StageWireCodec) {
+			w, encodeCPU = s.encodeTimed(p, rawWire)
+		} else {
+			w, encodeCPU = s.codec.Encode(p, rawWire)
+		}
 		chunkWire += w
 		s.report.CPUTime += encodeCPU
 		// Provenance and iteration counters both account at delivery time

@@ -23,7 +23,7 @@ func TestPerfRecordsPreCopyStages(t *testing.T) {
 	sc := newScribbler(r.guest, r.clock, hot, 500)
 	sc.skip = []mem.VARange{hot}
 	sc.register(r.guest)
-	prof := perf.NewProfiler(perf.WithAllocs())
+	prof := perf.NewProfiler()
 	rep, err := r.source(Config{Mode: ModeAppAssisted, Perf: prof}, sc).Migrate()
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestPerfProfilerTransparent(t *testing.T) {
 				return rep
 			}
 			plain := run(nil)
-			profiled := run(perf.NewProfiler(perf.WithAllocs(), perf.WithPprofLabels()))
+			profiled := run(perf.NewProfiler())
 			if !reflect.DeepEqual(plain, profiled) {
 				t.Errorf("profiler changed the report:\nplain:    %+v\nprofiled: %+v", plain, profiled)
 			}

@@ -7,51 +7,48 @@ import (
 	"javmm/internal/obs/perf"
 )
 
-// Real-clock stage decorators. When Config.Perf is set, bindStages wraps
-// every bound stage in one of these so each call is bracketed by
-// perf.Profiler Enter/Exit — attributing the simulator's own wall time and
-// allocations to the stage taxonomy. With Perf nil nothing is wrapped and
-// the engine runs exactly as before; the profiler's deterministic
-// transparency (identical reports with and without it) is asserted by
-// TestPerfProfilerTransparent and by the bench harness on every run.
+// Real-clock stage profiling. When Config.Perf is set, every call of a bound
+// stage is counted and attributed to the perf.Profiler stage taxonomy. Before
+// each per-page call (skip policy, wire codec, page sink) the engine asks
+// perf.Profiler.Sampled, which the compiler inlines, at the call site: an
+// unsampled call runs the bare stage with no wrapper or helper in between, so
+// the profiler stays off the per-page path and CPU profiles show each stage's
+// own frames; a sampled call goes through the *Timed helpers below. The
+// coarse stages (stop policy, suspension protocol) run at most a few
+// thousand times per migration and are wrapped in decorators that time every
+// call. With Perf nil nothing is wrapped and the engine runs exactly as
+// before; the profiler's deterministic transparency (identical reports with
+// and without it) is asserted by TestPerfProfilerTransparent and by the
+// bench harness on every run.
 
-type profiledSkip struct {
-	next SkipPolicy
-	p    *perf.Profiler
-}
-
-func (w profiledSkip) Skip(pfn mem.PFN) SkipReason {
-	w.p.Enter(perf.StageSkipPolicy)
-	r := w.next.Skip(pfn)
-	w.p.Exit()
+func (s *Source) skipTimed(pfn mem.PFN) SkipReason {
+	s.Cfg.Perf.Enter(perf.StageSkipPolicy)
+	r := s.skip.Skip(pfn)
+	s.Cfg.Perf.Exit()
 	return r
 }
 
-func (w profiledSkip) FinalTransfer(n uint64) *mem.Bitmap {
-	w.p.Enter(perf.StageSkipPolicy)
-	bm := w.next.FinalTransfer(n)
-	w.p.Exit()
-	return bm
-}
-
-// profileSkip wraps a skip policy when a profiler is present.
-func profileSkip(next SkipPolicy, p *perf.Profiler) SkipPolicy {
-	if p == nil {
-		return next
-	}
-	return profiledSkip{next: next, p: p}
-}
-
-type profiledCodec struct {
-	next WireCodec
-	p    *perf.Profiler
-}
-
-func (w profiledCodec) Encode(pfn mem.PFN, raw uint64) (uint64, time.Duration) {
-	w.p.Enter(perf.StageWireCodec)
-	wire, cpu := w.next.Encode(pfn, raw)
-	w.p.Exit()
+func (s *Source) encodeTimed(pfn mem.PFN, raw uint64) (uint64, time.Duration) {
+	s.Cfg.Perf.Enter(perf.StageWireCodec)
+	wire, cpu := s.codec.Encode(pfn, raw)
+	s.Cfg.Perf.Exit()
 	return wire, cpu
+}
+
+func (s *Source) receiveTimed(pfn mem.PFN, payload []byte) error {
+	s.Cfg.Perf.Enter(perf.StagePageSink)
+	err := s.sink.ReceivePage(pfn, payload)
+	s.Cfg.Perf.Exit()
+	return err
+}
+
+// finalTransfer asks the skip policy for the stop-and-copy transfer bitmap.
+func (s *Source) finalTransfer(n uint64) *mem.Bitmap {
+	if p := s.Cfg.Perf; p.Sampled(perf.StageSkipPolicy) {
+		p.Enter(perf.StageSkipPolicy)
+		defer p.Exit()
+	}
+	return s.skip.FinalTransfer(n)
 }
 
 type profiledStop struct {
@@ -116,46 +113,4 @@ func profileProto(next SuspensionProtocol, p *perf.Profiler) SuspensionProtocol 
 		return next
 	}
 	return profiledProto{next: next, p: p}
-}
-
-type profiledSink struct {
-	next PageSink
-	p    *perf.Profiler
-}
-
-func (w profiledSink) ReceivePage(pfn mem.PFN, payload []byte) error {
-	w.p.Enter(perf.StagePageSink)
-	err := w.next.ReceivePage(pfn, payload)
-	w.p.Exit()
-	return err
-}
-
-// profiledDigestSink preserves the DigestSink extension through the profiled
-// wrapper: beginIntegrity type-asserts the bound sink, and a plain
-// profiledSink would silently disable the whole integrity plane. Receives
-// are profiled; the digest queries are audit-side reads and pass through
-// unprofiled (they are accounted to the digest-audit stage by their
-// callers).
-type profiledDigestSink struct {
-	profiledSink
-	ds DigestSink
-}
-
-func (w profiledDigestSink) PageDigestAt(pfn mem.PFN) (uint64, bool) { return w.ds.PageDigestAt(pfn) }
-func (w profiledDigestSink) ReceivedPages() *mem.Bitmap              { return w.ds.ReceivedPages() }
-func (w profiledDigestSink) DigestSnapshot() []uint64                { return w.ds.DigestSnapshot() }
-func (w profiledDigestSink) RollingDigest() uint64                   { return w.ds.RollingDigest() }
-func (w profiledDigestSink) Generation() uint64                      { return w.ds.Generation() }
-
-// profileSink wraps a page sink when a profiler is present, keeping the
-// DigestSink extension visible when the inner sink carries it.
-func profileSink(next PageSink, p *perf.Profiler) PageSink {
-	if p == nil {
-		return next
-	}
-	inner := profiledSink{next: next, p: p}
-	if ds, ok := next.(DigestSink); ok {
-		return profiledDigestSink{profiledSink: inner, ds: ds}
-	}
-	return inner
 }

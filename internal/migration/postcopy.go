@@ -77,6 +77,8 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 		return nil, err
 	}
 	s.Cfg.FillDefaults()
+	s.Cfg.Perf.BeginRun()
+	defer s.Cfg.Perf.EndRun()
 	n := s.Dom.NumPages()
 	s.report = &Report{Mode: s.Cfg.Mode}
 	s.sentBytes = 0
@@ -145,7 +147,6 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 		if s.sink == nil {
 			s.sink = s.Dest
 		}
-		s.sink = profileSink(s.sink, s.Cfg.Perf)
 		s.beginIntegrity()
 		if resumed {
 			s.planResumeLazy(s.pendingResume, resident)
@@ -203,8 +204,10 @@ func (s *Source) migrateLazy(warm bool) (*Report, error) {
 	lazyIter := iter + 1 // the ledger iteration index of the whole lazy phase
 
 	fetch := func(p mem.PFN) (time.Duration, error) {
-		s.Cfg.Perf.Enter(perf.StageLazyFetch)
-		defer s.Cfg.Perf.Exit()
+		if prof := s.Cfg.Perf; prof.Sampled(perf.StageLazyFetch) {
+			prof.Enter(perf.StageLazyFetch)
+			defer prof.Exit()
+		}
 		var d, backoffStall time.Duration
 		op := func() error {
 			if s.Cfg.Faults.Fire(faults.SitePostCopyFetch) {
@@ -267,8 +270,10 @@ prefetch:
 				var d time.Duration
 				var elapsed bool
 				push := func() error {
-					s.Cfg.Perf.Enter(perf.StageLazyFetch)
-					defer s.Cfg.Perf.Exit()
+					if prof := s.Cfg.Perf; prof.Sampled(perf.StageLazyFetch) {
+						prof.Enter(perf.StageLazyFetch)
+						defer prof.Exit()
+					}
 					var err error
 					d, elapsed, err = s.sendBulk(wire)
 					if err != nil {

@@ -9,6 +9,7 @@ import (
 	"javmm/internal/mem"
 	"javmm/internal/netsim"
 	"javmm/internal/obs"
+	"javmm/internal/obs/perf"
 )
 
 // The robustness layer: transient stage failures (a partitioned link, a
@@ -145,6 +146,9 @@ func (s *Source) withRetry(stage string, op func() error) error {
 // exists to catch. The expected digest is recorded on success.
 func (s *Source) deliverPage(p mem.PFN, payload []byte) error {
 	deliver := func() error {
+		if s.Cfg.Perf.Sampled(perf.StagePageSink) {
+			return s.receiveTimed(p, s.wirePayload(p, payload))
+		}
 		return s.sink.ReceivePage(p, s.wirePayload(p, payload))
 	}
 	if err := deliver(); err != nil {
@@ -224,7 +228,7 @@ func (s *Source) degradeToVanilla(reason string) {
 	// held applications and resets, exactly as on an abort.
 	s.proto.Aborted()
 	s.proto = nil
-	s.skip = profileSkip(transferAll{}, s.Cfg.Perf)
+	s.skip = transferAll{}
 	s.degradePending = s.skippedEver
 	s.skippedEver = nil
 }

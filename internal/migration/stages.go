@@ -313,8 +313,9 @@ func (c *Config) NewWireCodec(n uint64, hintFor func(mem.PFN) uint8, resends *ui
 // bindStages resolves the active stage set for one run: explicit Source
 // overrides win, otherwise defaults are derived from Cfg. transfer is the
 // suspension protocol's bitmap (nil when there is none). Must run after
-// FillDefaults and report initialization. With Cfg.Perf set, every bound
-// stage is additionally wrapped in its real-clock profiling decorator.
+// FillDefaults and report initialization. With Cfg.Perf set, the stop
+// policy is additionally wrapped in its real-clock profiling decorator (the
+// per-page stages are profiled at their call sites, see perfstages.go).
 func (s *Source) bindStages(transfer *mem.Bitmap) {
 	s.sink = s.Sink
 	if s.sink == nil {
@@ -352,9 +353,6 @@ func (s *Source) bindStages(transfer *mem.Bitmap) {
 	}
 
 	if p := s.Cfg.Perf; p != nil {
-		s.skip = profileSkip(s.skip, p)
-		s.codec = profiledCodec{next: s.codec, p: p}
 		s.stop = profiledStop{next: s.stop, p: p}
-		s.sink = profileSink(s.sink, p)
 	}
 }

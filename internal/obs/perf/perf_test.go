@@ -13,6 +13,15 @@ func TestNilProfilerIsNoop(t *testing.T) {
 	p.Exit()
 	p.Time(StageWireCodec, func() {})
 	p.Reset()
+	if p.Sampled(StageSkipPolicy) {
+		t.Fatal("nil profiler sampled a call")
+	}
+	p.BeginRun()
+	p.EndIteration(1)
+	p.EndRun()
+	if p.Allocs() != nil {
+		t.Fatal("nil profiler recorded allocation")
+	}
 	if got := p.Snapshot(); got != nil {
 		t.Fatalf("nil profiler Snapshot = %v, want nil", got)
 	}
@@ -83,21 +92,33 @@ func busyWait(d time.Duration) {
 	}
 }
 
+// allocSink keeps TestProfilerAllocTracking's pages on the heap.
+var allocSink [][]byte
+
+// TestProfilerAllocTracking checks the iteration-boundary allocation read is
+// exact: 64 pages allocated inside one iteration must all be counted, even
+// the ones still sitting in a per-P allocation cache when the boundary is
+// read.
 func TestProfilerAllocTracking(t *testing.T) {
-	p := NewProfiler(WithAllocs())
-	var sink [][]byte
-	p.Time(StagePageSink, func() {
-		for i := 0; i < 64; i++ {
-			sink = append(sink, make([]byte, 4096))
-		}
-	})
-	_ = sink
-	stats := p.Snapshot()
-	if len(stats) != 1 {
-		t.Fatalf("got %d stages, want 1", len(stats))
+	p := NewProfiler()
+	p.BeginRun()
+	for i := 0; i < 64; i++ {
+		allocSink = append(allocSink, make([]byte, 4096))
 	}
-	if stats[0].SelfAllocBytes < 64*4096 {
-		t.Errorf("SelfAllocBytes = %d, want >= %d", stats[0].SelfAllocBytes, 64*4096)
+	p.EndIteration(1)
+	p.EndRun()
+	allocSink = nil
+	allocs := p.Allocs()
+	if len(allocs) != 2 || allocs[0].Iteration != 1 || allocs[1].Iteration != 0 {
+		t.Fatalf("Allocs = %+v, want iteration 1 then the wrap-up (0)", allocs)
+	}
+	if allocs[0].Bytes < 64*4096 {
+		t.Errorf("iteration 1 allocated %d bytes, want >= %d", allocs[0].Bytes, 64*4096)
+	}
+	// A boundary read outside any run records nothing.
+	p.EndIteration(2)
+	if got := len(p.Allocs()); got != 2 {
+		t.Errorf("EndIteration outside a run recorded a segment: %d segments", got)
 	}
 }
 
@@ -397,5 +418,107 @@ func TestAnalyzeDocRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Errorf("analyze doc round trip not byte-identical:\n%s\nvs\n%s", buf.Bytes(), buf2.Bytes())
+	}
+}
+
+// sampledCall runs one call of hot stage s the way the engine does.
+func sampledCall(p *Profiler, s Stage, fn func()) {
+	if !p.Sampled(s) {
+		fn()
+		return
+	}
+	p.Enter(s)
+	fn()
+	p.Exit()
+}
+
+func TestProfilerSamplesHotStagesOnStride(t *testing.T) {
+	p := NewProfiler()
+	const calls = 3*SampleEvery + 5
+	for i := 0; i < calls; i++ {
+		sampledCall(p, StageSkipPolicy, func() {})
+	}
+	st := p.Snapshot()
+	if len(st) != 1 || st[0].Calls != calls || st[0].Timed != 4 {
+		t.Fatalf("Snapshot = %+v, want %d calls with ceil(%d/%d) = 4 timed", st, calls, calls, SampleEvery)
+	}
+}
+
+func TestProfilerTimesEveryCallNestedInATimedStage(t *testing.T) {
+	p := NewProfiler()
+	p.Enter(StageDigestAudit)
+	for i := 0; i < 2*SampleEvery; i++ {
+		sampledCall(p, StagePageSink, func() {})
+	}
+	p.Exit()
+	// Outside the audit the stride applies again: the page-sink counter is at
+	// 2*SampleEvery, so exactly the first of the next SampleEvery is timed.
+	for i := 0; i < SampleEvery; i++ {
+		sampledCall(p, StagePageSink, func() {})
+	}
+	for _, s := range p.Snapshot() {
+		if s.Stage == "page-sink" && (s.Calls != 3*SampleEvery || s.Timed != 2*SampleEvery+1) {
+			t.Errorf("page-sink = %+v, want %d calls, %d timed", s, 3*SampleEvery, 2*SampleEvery+1)
+		}
+	}
+}
+
+func TestProfilerScalesSampledTime(t *testing.T) {
+	p := NewProfiler()
+	for i := 0; i < 2*SampleEvery; i++ {
+		sampledCall(p, StageWireCodec, func() { busyWait(20 * time.Microsecond) })
+	}
+	st := p.Snapshot()[0]
+	if st.Timed != 2 {
+		t.Fatalf("timed = %d, want 2", st.Timed)
+	}
+	// Every call busy-waited at least 20µs, so the scaled estimate must
+	// cover all calls, not just the two timed ones.
+	if min := int64(2*SampleEvery) * 20e3; st.SelfNs < min || st.TotalNs < st.SelfNs {
+		t.Errorf("scaled self = %dns total = %dns, want self >= %dns", st.SelfNs, st.TotalNs, min)
+	}
+}
+
+func TestProfilerDoesNotScaleTheFirstCall(t *testing.T) {
+	p := NewProfiler()
+	// One-time setup in the first call: timed, but exactly, not as a
+	// sample standing in for the calls that follow.
+	sampledCall(p, StagePageSink, func() { busyWait(2 * time.Millisecond) })
+	for i := 1; i < 2*SampleEvery; i++ {
+		sampledCall(p, StagePageSink, func() {})
+	}
+	st := p.Snapshot()[0]
+	if st.Timed != 2 {
+		t.Fatalf("timed = %d, want 2", st.Timed)
+	}
+	if max := int64(20 * time.Millisecond); st.SelfNs < int64(2*time.Millisecond) || st.SelfNs > max {
+		t.Errorf("self = %v, want the first call's 2ms counted once (< %v)", time.Duration(st.SelfNs), time.Duration(max))
+	}
+}
+
+func TestProfilerNestedCallsInheritSampling(t *testing.T) {
+	p := NewProfiler()
+	// Every delivery happens inside a lazy fetch, so the delivery counter
+	// moves in lockstep with the fetch counter: deliveries are timed only
+	// inside sampled fetches, and those must stand for all deliveries —
+	// while the first, slow one stays a single exact call.
+	const calls = 2 * SampleEvery
+	for i := 0; i < calls; i++ {
+		d := 10 * time.Microsecond
+		if i == 0 {
+			d = 2 * time.Millisecond
+		}
+		sampledCall(p, StageLazyFetch, func() {
+			sampledCall(p, StagePageSink, func() { busyWait(d) })
+		})
+	}
+	for _, s := range p.Snapshot() {
+		if s.Stage != "page-sink" {
+			continue
+		}
+		lo := int64(2*time.Millisecond + (calls-1)*10*time.Microsecond)
+		if s.Timed != 2 || s.SelfNs < lo || s.SelfNs > 3*lo {
+			t.Errorf("page-sink = %+v, want 2 timed and self in [%v, %v]", s, time.Duration(lo), time.Duration(3*lo))
+		}
 	}
 }

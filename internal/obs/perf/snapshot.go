@@ -105,7 +105,10 @@ type StageShare struct {
 	// SelfNs / TotalNs mirror StageStats.
 	SelfNs  int64 `json:"self_ns"`
 	TotalNs int64 `json:"total_ns"`
-	// AllocBytes is self-attributed heap allocation.
+	// AllocBytes is always 0. The stage profiler no longer attributes
+	// allocation to stages — a per-call allocation read cost more than the
+	// stages it measured — and reads it per engine iteration instead; the
+	// field stays so javmm-bench/v1 snapshots keep one shape.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	// Share is SelfNs over the instrumented run's wall time, in [0,1].
 	// Informational: shares come from the accounting run, not the timing

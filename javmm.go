@@ -808,16 +808,16 @@ func runMigration(vm *VM, opts MigrateOptions, dest *migration.Destination, tok 
 // The real-clock performance-observability plane (internal/obs/perf). Unlike
 // Tracer/Metrics/Ledger — which run on the virtual clock and are part of the
 // deterministic contract — the stage profiler measures the simulator itself:
-// wall time and heap allocation per engine stage. Attach one via
-// EngineConfig.Perf; it never changes a run's Report.
+// wall time per engine stage and heap allocation per engine iteration.
+// Attach one via EngineConfig.Perf; it never changes a run's Report.
 type (
-	// StageProfiler attributes the simulator's own wall time and heap
-	// allocations to the engine's stage taxonomy (skip policy, wire codec,
-	// stop policy, suspension protocol, page sink, lazy fetch, digest
-	// audit).
+	// StageProfiler attributes the simulator's own wall time to the
+	// engine's stage taxonomy (skip policy, wire codec, stop policy,
+	// suspension protocol, page sink, lazy fetch, digest audit) and its
+	// heap allocation to engine iterations.
 	StageProfiler = perf.Profiler
-	// StageStats is one stage's accumulated account (calls, self/total
-	// wall time, self-attributed allocation).
+	// StageStats is one stage's accumulated account (exact calls, timed
+	// calls, self/total wall time scaled to all calls).
 	StageStats = perf.StageStats
 	// DeterministicMetrics is the seed-determined metric block shared by
 	// javmm-bench snapshots and javmm-analyze -json: a pure function of
@@ -826,12 +826,9 @@ type (
 	DeterministicMetrics = perf.Deterministic
 )
 
-// NewStageProfiler returns a stage profiler with allocation accounting and
-// pprof goroutine labels enabled — the configuration the bench harness's
-// accounting run uses. For minimum overhead build one directly with
-// perf.NewProfiler and no options.
+// NewStageProfiler returns an empty stage profiler.
 func NewStageProfiler() *StageProfiler {
-	return perf.NewProfiler(perf.WithAllocs(), perf.WithPprofLabels())
+	return perf.NewProfiler()
 }
 
 // BenchDeterministic projects a migration result onto the deterministic
