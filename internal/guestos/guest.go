@@ -100,24 +100,32 @@ func (p *Process) Free(r mem.VARange) uint64 {
 	return p.AS.UnmapRange(r)
 }
 
-// Write stores to the page containing va. Unmapped addresses panic (a
-// segfault would crash the workload; in the simulator it is always a bug).
-func (p *Process) Write(va mem.VA) {
-	pfn, ok := p.AS.Translate(va)
-	if !ok {
-		panic(fmt.Sprintf("guestos: process %q segfault at %#x", p.name, uint64(va)))
+// WritePages stores to n consecutive pages starting at the page containing
+// va. The run is translated one page-table leaf at a time, and each leaf's
+// frames reach the domain as one run. An unmapped page panics (a segfault
+// would crash the workload; in the simulator it is always a bug) after the
+// pages before it have been written, as n single-page stores would.
+func (p *Process) WritePages(va mem.VA, n uint64) {
+	va = va.PageBase()
+	for n > 0 {
+		run := p.AS.LeafRun(va, n)
+		if len(run) == 0 {
+			panic(fmt.Sprintf("guestos: process %q segfault at %#x", p.name, uint64(va)))
+		}
+		p.guest.Dom.WritePages(run)
+		va += mem.VA(len(run)) * mem.PageSize
+		n -= uint64(len(run))
 	}
-	p.guest.Dom.WritePage(pfn)
 }
+
+// Write stores to the page containing va: the one-page case of WritePages.
+func (p *Process) Write(va mem.VA) { p.WritePages(va, 1) }
 
 // WriteRange stores to every whole page of r (aligned inward). It returns
 // the number of pages written.
 func (p *Process) WriteRange(r mem.VARange) uint64 {
 	r = r.PageAlignInward()
-	var n uint64
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		p.Write(va)
-		n++
-	}
+	n := r.Pages()
+	p.WritePages(r.Start, n)
 	return n
 }

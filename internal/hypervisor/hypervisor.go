@@ -21,9 +21,9 @@ import (
 )
 
 // Domain is a guest VM: its memory pages, dirty-tracking state and scheduling
-// state. All guest writes must go through WritePage so that log-dirty mode
-// observes them, mirroring how shadow paging / HAP log-dirty intercepts guest
-// stores.
+// state. All guest writes must go through WritePages (or its one-page case,
+// WritePage) so that log-dirty mode observes them, mirroring how shadow
+// paging / HAP log-dirty intercepts guest stores.
 type Domain struct {
 	name  string
 	clock *simclock.Clock
@@ -45,11 +45,12 @@ type Domain struct {
 	pauseCount  int
 
 	// Counters for experiment reporting.
-	writes       uint64 // guest page writes observed
-	dirtySetOps  uint64 // writes that newly dirtied a page this round
-	vcpus        int
-	writeTrapped func()          // optional log-dirty write-fault overhead hook
-	pageFault    func(p mem.PFN) // optional pre-write fault hook (post-copy)
+	writes      uint64 // guest page writes observed
+	dirtySetOps uint64 // writes that newly dirtied a page this round
+	vcpus       int
+	pageFault   func(p mem.PFN) // optional pre-write fault hook (post-copy)
+
+	one [1]mem.PFN // WritePage's one-page run, so it allocates nothing
 }
 
 // NewDomain creates a domain with the given memory, backed by store. The
@@ -86,27 +87,52 @@ func (d *Domain) Store() mem.PageStore { return d.store }
 // Clock returns the virtual clock the domain runs against.
 func (d *Domain) Clock() *simclock.Clock { return d.clock }
 
-// WritePage records a guest store to page p: the page content changes and,
-// if log-dirty mode is on, the dirty bit is set. Writing while paused panics:
-// a paused domain's vCPUs cannot execute, so such a write is a simulator bug.
+// WritePages records one guest store to each page of run: the contents
+// change and, if log-dirty mode is on, the dirty bits are set. The pages of
+// a run are distinct (a run is the frames behind consecutive virtual pages),
+// so the store, the bitmaps and the counters end up the same whatever the
+// order; they are updated one loop each. With a page-fault hook installed
+// the run is applied page by page in order instead, the hook running before
+// each page's write. Writing while paused panics: a paused domain's vCPUs
+// cannot execute, so such a write is a simulator bug.
+func (d *Domain) WritePages(run []mem.PFN) {
+	if d.pageFault != nil {
+		for i := range run {
+			d.checkRunning(run[i])
+			d.pageFault(run[i])
+			d.apply(run[i : i+1])
+		}
+		return
+	}
+	if len(run) == 0 {
+		return
+	}
+	d.checkRunning(run[0])
+	d.apply(run)
+}
+
+// WritePage records a guest store to page p: the one-page case of
+// WritePages.
 func (d *Domain) WritePage(p mem.PFN) {
+	d.one[0] = p
+	d.WritePages(d.one[:])
+}
+
+func (d *Domain) checkRunning(p mem.PFN) {
 	if d.paused {
 		panic(fmt.Sprintf("hypervisor: domain %q wrote page %d while paused", d.name, p))
 	}
-	if d.pageFault != nil {
-		d.pageFault(p)
-	}
-	d.store.Write(p)
-	d.writes++
+}
+
+// apply is the write bookkeeping shared by every run.
+func (d *Domain) apply(run []mem.PFN) {
+	d.store.WritePages(run)
+	d.writes += uint64(len(run))
 	if d.epochDirty != nil {
-		d.epochDirty.Set(p)
+		d.epochDirty.SetEach(run)
 	}
-	if d.logDirty && !d.dirty.Test(p) {
-		d.dirty.Set(p)
-		d.dirtySetOps++
-		if d.writeTrapped != nil {
-			d.writeTrapped()
-		}
+	if d.logDirty {
+		d.dirtySetOps += d.dirty.SetEach(run)
 	}
 }
 
@@ -114,12 +140,6 @@ func (d *Domain) WritePage(p mem.PFN) {
 // every guest page write. Post-copy migration uses it to intercept accesses
 // to pages that have not yet arrived at the destination.
 func (d *Domain) SetPageFaultHook(fn func(p mem.PFN)) { d.pageFault = fn }
-
-// OnWriteTrap registers a hook invoked on each first-write-per-round trap.
-// The workload driver uses it to model the guest slowdown caused by log-dirty
-// write faults during migration (paper §1 reports >20 % degradation for the
-// derby VM under vanilla Xen migration).
-func (d *Domain) OnWriteTrap(fn func()) { d.writeTrapped = fn }
 
 // Writes returns the total guest page writes observed.
 func (d *Domain) Writes() uint64 { return d.writes }

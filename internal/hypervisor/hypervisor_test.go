@@ -151,19 +151,17 @@ func TestWriteWhilePausedPanics(t *testing.T) {
 func TestWriteTrapHookFiresOncePerPagePerRound(t *testing.T) {
 	d := newTestDomain(8)
 	d.EnableLogDirty()
-	var traps int
-	d.OnWriteTrap(func() { traps++ })
 	d.WritePage(1)
 	d.WritePage(1) // already dirty: no trap
 	d.WritePage(2)
-	if traps != 2 {
-		t.Fatalf("traps = %d, want 2", traps)
+	if got := d.DirtyEvents(); got != 2 {
+		t.Fatalf("DirtyEvents = %d, want 2", got)
 	}
 	snap := mem.NewBitmap(8)
 	d.PeekAndClear(snap)
 	d.WritePage(1) // new round: traps again
-	if traps != 3 {
-		t.Fatalf("traps = %d, want 3", traps)
+	if got := d.DirtyEvents(); got != 3 {
+		t.Fatalf("DirtyEvents = %d, want 3", got)
 	}
 }
 

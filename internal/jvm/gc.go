@@ -43,11 +43,9 @@ func (j *JVM) Allocate(n uint64) uint64 {
 	// Touch every page the bump pointer crosses; objects are initialized
 	// as they are allocated, which is what continuously re-dirties the
 	// young generation (paper Observation 1).
-	first := (j.edenUsed) / mem.PageSize
+	first := j.edenUsed / mem.PageSize
 	last := (j.edenUsed + n - 1) / mem.PageSize
-	for pg := first; pg <= last; pg++ {
-		j.proc.Write(j.edenStart() + mem.VA(pg*mem.PageSize))
-	}
+	j.proc.WritePages(j.edenStart()+mem.VA(first*mem.PageSize), last-first+1)
 	j.edenUsed += n
 	j.TotalAllocated += n
 	return n

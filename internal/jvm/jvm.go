@@ -454,10 +454,9 @@ func (j *JVM) writeRange(start mem.VA, bytes uint64) {
 	if bytes == 0 {
 		return
 	}
+	first := start.PageBase()
 	end := start + mem.VA(bytes)
-	for va := start.PageBase(); va < end; va += mem.PageSize {
-		j.proc.Write(va)
-	}
+	j.proc.WritePages(first, (uint64(end-first)+mem.PageMask)/mem.PageSize)
 }
 
 // --- accessors -----------------------------------------------------------
@@ -555,13 +554,22 @@ func (j *JVM) CodeCacheRange() mem.VARange {
 // JITChurn dirties n code-cache pages, round-robin — background compilation
 // activity.
 func (j *JVM) JITChurn(n int) {
-	for i := 0; i < n; i++ {
-		j.proc.Write(j.codeDirty)
-		j.codeDirty += mem.PageSize
-		if j.codeDirty >= j.codeBase+mem.VA(j.codeBytes) {
-			j.codeDirty = j.codeBase
+	j.codeDirty = churn(j.proc, j.CodeCacheRange(), j.codeDirty, n)
+}
+
+// churn dirties n pages of r round-robin from cursor, one run per lap up to
+// the wrap, and returns the advanced cursor.
+func churn(proc *guestos.Process, r mem.VARange, cursor mem.VA, n int) mem.VA {
+	for n > 0 {
+		k := min(uint64(n), (uint64(r.End-cursor)+mem.PageMask)/mem.PageSize)
+		proc.WritePages(cursor, k)
+		cursor += mem.VA(k * mem.PageSize)
+		if cursor >= r.End {
+			cursor = r.Start
 		}
+		n -= int(k)
 	}
+	return cursor
 }
 
 // MutateOld dirties n old-generation pages — long-lived data being updated
@@ -580,12 +588,20 @@ func (j *JVM) MutateOld(n int) {
 		}
 	}
 	if j.cfg.OldHotBytes > 0 {
-		for i := 0; i < n; i++ {
-			j.proc.Write(j.oldBase + mem.VA(j.oldHotCursor*mem.PageSize))
-			j.oldHotCursor++
+		// Sweep the hot region in runs, split at the wrap. A cursor left
+		// past a hot region that has since shrunk writes its one page and
+		// wraps.
+		for n > 0 {
+			k := uint64(1)
+			if j.oldHotCursor < hotPages {
+				k = min(uint64(n), hotPages-j.oldHotCursor)
+			}
+			j.proc.WritePages(j.oldBase+mem.VA(j.oldHotCursor*mem.PageSize), k)
+			j.oldHotCursor += k
 			if j.oldHotCursor >= hotPages {
 				j.oldHotCursor = 0
 			}
+			n -= int(k)
 		}
 		return
 	}

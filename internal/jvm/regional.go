@@ -306,12 +306,7 @@ func (h *RegionalHeap) Allocate(n uint64) uint64 {
 		if take > space {
 			take = space
 		}
-		base := h.regionRange(cur).Start
-		first := r.used / mem.PageSize
-		last := (r.used + take - 1) / mem.PageSize
-		for pg := first; pg <= last; pg++ {
-			h.proc.Write(base + mem.VA(pg*mem.PageSize))
-		}
+		h.writeRegion(cur, r.used, take)
 		r.used += take
 		done += take
 	}
@@ -474,7 +469,7 @@ func (h *RegionalHeap) CompleteMinorGC() (GCStats, error) {
 			}
 			h.regions[idx].used = take
 			h.regions[idx].age = age
-			h.writeRegionPrefix(idx, take)
+			h.writeRegion(idx, 0, take)
 			remaining -= take
 		}
 	}
@@ -542,15 +537,15 @@ func (h *RegionalHeap) CompleteMinorGC() (GCStats, error) {
 	return st, nil
 }
 
-// writeRegionPrefix dirties the first `bytes` of region idx.
-func (h *RegionalHeap) writeRegionPrefix(idx int, bytes uint64) {
+// writeRegion dirties, as one run, every page of region idx that the bytes
+// [off, off+bytes) touch.
+func (h *RegionalHeap) writeRegion(idx int, off, bytes uint64) {
 	if bytes == 0 {
 		return
 	}
-	base := h.regionRange(idx).Start
-	for pg := uint64(0); pg*mem.PageSize < bytes; pg++ {
-		h.proc.Write(base + mem.VA(pg*mem.PageSize))
-	}
+	first := off / mem.PageSize
+	last := (off + bytes - 1) / mem.PageSize
+	h.proc.WritePages(h.regionRange(idx).Start+mem.VA(first*mem.PageSize), last-first+1)
 }
 
 // placeOld appends bytes into old regions.
@@ -571,12 +566,7 @@ func (h *RegionalHeap) placeOld(bytes uint64) error {
 		if take > bytes {
 			take = bytes
 		}
-		base := h.regionRange(idx).Start
-		first := r.used / mem.PageSize
-		last := (r.used + take - 1) / mem.PageSize
-		for pg := first; pg <= last; pg++ {
-			h.proc.Write(base + mem.VA(pg*mem.PageSize))
-		}
+		h.writeRegion(idx, r.used, take)
 		r.used += take
 		bytes -= take
 	}
@@ -624,7 +614,7 @@ func (h *RegionalHeap) CompleteFullGC() GCStats {
 			take = remaining
 		}
 		h.regions[idx].used = take
-		h.writeRegionPrefix(idx, take)
+		h.writeRegion(idx, 0, take)
 		remaining -= take
 		keep++
 	}
@@ -671,13 +661,8 @@ func (h *RegionalHeap) MutateOld(n int) {
 
 // JITChurn dirties n code-cache pages round-robin.
 func (h *RegionalHeap) JITChurn(n int) {
-	for i := 0; i < n; i++ {
-		h.proc.Write(h.codeDirty)
-		h.codeDirty += mem.PageSize
-		if h.codeDirty >= h.codeBase+mem.VA(h.codeBytes) {
-			h.codeDirty = h.codeBase
-		}
-	}
+	code := mem.VARange{Start: h.codeBase, End: h.codeBase + mem.VA(h.codeBytes)}
+	h.codeDirty = churn(h.proc, code, h.codeDirty, n)
 }
 
 // SeedOld fills old regions with long-lived startup data.

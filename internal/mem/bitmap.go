@@ -39,6 +39,19 @@ func (b *Bitmap) Test(p PFN) bool {
 	return b.words[p>>6]&(1<<(p&63)) != 0
 }
 
+// SetEach sets the bit of every page in ps and returns how many of those
+// bits were clear before. A page listed twice counts once.
+func (b *Bitmap) SetEach(ps []PFN) uint64 {
+	var newly uint64
+	for _, p := range ps {
+		b.check(p)
+		w := &b.words[p>>6]
+		newly += (^*w >> (p & 63)) & 1
+		*w |= 1 << (p & 63)
+	}
+	return newly
+}
+
 func (b *Bitmap) check(p PFN) {
 	if uint64(p) >= b.n {
 		panic("mem: bitmap index out of range")

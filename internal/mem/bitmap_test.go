@@ -222,3 +222,25 @@ func TestBitmapCountIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBitmapSetEachCountsNewlySet(t *testing.T) {
+	b := NewBitmap(130)
+	b.Set(64)
+	if n := b.SetEach([]PFN{0, 63, 64, 129, 0}); n != 3 {
+		t.Fatalf("SetEach newly set %d bits, want 3 (64 was set, 0 listed twice)", n)
+	}
+	for _, p := range []PFN{0, 63, 64, 129} {
+		if !b.Test(p) {
+			t.Fatalf("bit %d not set", p)
+		}
+	}
+	if b.Count() != 4 {
+		t.Fatalf("Count = %d, want 4", b.Count())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetEach past the end did not panic")
+		}
+	}()
+	b.SetEach([]PFN{130})
+}

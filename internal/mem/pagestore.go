@@ -18,9 +18,9 @@ import (
 type PageStore interface {
 	// NumPages returns the number of pages in the store.
 	NumPages() uint64
-	// Write records a guest write to page p. It returns the page's new
-	// version.
-	Write(p PFN) uint64
+	// WritePages records one guest write to each page of run. The pages of
+	// a run are distinct, so the result does not depend on their order.
+	WritePages(run []PFN)
 	// Version returns the page's current version (0 = never written).
 	Version(p PFN) uint64
 	// Export serializes page p for transmission.
@@ -47,9 +47,18 @@ func NewVersionStore(n uint64) *VersionStore {
 // NumPages implements PageStore.
 func (s *VersionStore) NumPages() uint64 { return uint64(len(s.versions)) }
 
-// Write implements PageStore.
+// WritePages implements PageStore.
+func (s *VersionStore) WritePages(run []PFN) {
+	v := s.versions
+	for _, p := range run {
+		v[p]++
+	}
+}
+
+// Write records one guest write to page p and returns its new version: the
+// one-page case of WritePages.
 func (s *VersionStore) Write(p PFN) uint64 {
-	s.versions[p]++
+	s.WritePages([]PFN{p})
 	return s.versions[p]
 }
 
@@ -95,10 +104,18 @@ func NewByteStore(n uint64) *ByteStore {
 // NumPages implements PageStore.
 func (s *ByteStore) NumPages() uint64 { return uint64(len(s.versions)) }
 
-// Write implements PageStore.
+// WritePages implements PageStore.
+func (s *ByteStore) WritePages(run []PFN) {
+	for _, p := range run {
+		s.versions[p]++
+		s.stamp(p)
+	}
+}
+
+// Write records one guest write to page p and returns its new version: the
+// one-page case of WritePages.
 func (s *ByteStore) Write(p PFN) uint64 {
-	s.versions[p]++
-	s.stamp(p)
+	s.WritePages([]PFN{p})
 	return s.versions[p]
 }
 

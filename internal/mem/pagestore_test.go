@@ -106,3 +106,28 @@ func TestPageStoreInterfaceCompliance(t *testing.T) {
 	var _ PageStore = NewVersionStore(1)
 	var _ PageStore = NewByteStore(1)
 }
+
+// A run write leaves both stores exactly as the same pages written one at a
+// time do.
+func TestWritePagesMatchesSinglePageWrites(t *testing.T) {
+	run := []PFN{3, 0, 2}
+	for _, pair := range [][2]PageStore{
+		{NewVersionStore(4), NewVersionStore(4)},
+		{NewByteStore(4), NewByteStore(4)},
+	} {
+		runs, single := pair[0], pair[1]
+		runs.WritePages(run)
+		runs.WritePages(run[:1])
+		for _, p := range append(run, run[0]) {
+			single.WritePages([]PFN{p})
+		}
+		for p := PFN(0); p < 4; p++ {
+			if !bytes.Equal(runs.Export(p), single.Export(p)) {
+				t.Fatalf("%T page %d differs after run writes", runs, p)
+			}
+		}
+		if runs.Version(3) != 2 || runs.Version(1) != 0 {
+			t.Fatalf("%T versions %d/%d, want 2/0", runs, runs.Version(3), runs.Version(1))
+		}
+	}
+}

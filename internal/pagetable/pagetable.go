@@ -128,10 +128,17 @@ func (f *FrameAllocator) Allocated(p mem.PFN) bool { return !f.free.Test(p) }
 // §3.3.4 — ablation X5 quantifies this).
 type AddressSpace struct {
 	frames *FrameAllocator
-	// Two-level table: directory index = vpn >> dirShift.
-	dir       map[uint64]*ptTable
-	mapped    uint64
-	WalkSteps uint64 // page-table entries touched by Translate/Walk calls
+	// Two-level table: directory index = vpn >> dirShift. The directory is
+	// a slice of leaf tables indexed from dirBase, the lowest directory
+	// index ever mapped; it spans up to the highest one, and only Map grows
+	// it. Leaves emptied by Unmap are dropped (nil), not shrunk away.
+	dir     []*ptTable
+	dirBase uint64
+	mapped  uint64
+	// WalkSteps counts page-table entries examined by Translate, LeafRun,
+	// Walk and UnmapRange: one per leaf entry read, plus one per directory
+	// entry found without a leaf table.
+	WalkSteps uint64
 }
 
 const (
@@ -156,22 +163,49 @@ func newPTTable() *ptTable {
 
 // NewAddressSpace returns an empty address space drawing frames from frames.
 func NewAddressSpace(frames *FrameAllocator) *AddressSpace {
-	return &AddressSpace{frames: frames, dir: make(map[uint64]*ptTable)}
+	return &AddressSpace{frames: frames}
 }
 
 // Mapped returns the number of virtual pages currently mapped.
 func (a *AddressSpace) Mapped() uint64 { return a.mapped }
+
+// leaf returns the leaf table for directory index di, or nil. A directory
+// index outside the slice (unmapped, or far from every mapping) allocates
+// nothing: the unsigned difference wraps past len(a.dir) below dirBase.
+func (a *AddressSpace) leaf(di uint64) *ptTable {
+	if i := di - a.dirBase; i < uint64(len(a.dir)) {
+		return a.dir[i]
+	}
+	return nil
+}
+
+// leafForMap returns the leaf table for directory index di, growing the
+// directory and creating the table as needed.
+func (a *AddressSpace) leafForMap(di uint64) *ptTable {
+	switch {
+	case len(a.dir) == 0:
+		a.dir, a.dirBase = make([]*ptTable, 1), di
+	case di < a.dirBase:
+		grown := make([]*ptTable, a.dirBase-di+uint64(len(a.dir)))
+		copy(grown[a.dirBase-di:], a.dir)
+		a.dir, a.dirBase = grown, di
+	case di-a.dirBase >= uint64(len(a.dir)):
+		a.dir = append(a.dir, make([]*ptTable, di-a.dirBase+1-uint64(len(a.dir)))...)
+	}
+	t := a.dir[di-a.dirBase]
+	if t == nil {
+		t = newPTTable()
+		a.dir[di-a.dirBase] = t
+	}
+	return t
+}
 
 // Map installs vpn→pfn for the page containing va. Mapping an already-mapped
 // page panics; remapping must go through Remap so callers are explicit about
 // the §3.3.4 case-(2) events they are simulating.
 func (a *AddressSpace) Map(va mem.VA, p mem.PFN) {
 	vpn := va.PageOf()
-	t := a.dir[vpn>>dirShift]
-	if t == nil {
-		t = newPTTable()
-		a.dir[vpn>>dirShift] = t
-	}
+	t := a.leafForMap(vpn >> dirShift)
 	if t.entries[vpn&leafMask] != leafEmpty {
 		panic(fmt.Sprintf("pagetable: Map(%#x): page already mapped", uint64(va)))
 	}
@@ -184,7 +218,7 @@ func (a *AddressSpace) Map(va mem.VA, p mem.PFN) {
 // It panics if the page is unmapped.
 func (a *AddressSpace) Remap(va mem.VA, p mem.PFN) mem.PFN {
 	vpn := va.PageOf()
-	t := a.dir[vpn>>dirShift]
+	t := a.leaf(vpn >> dirShift)
 	if t == nil || t.entries[vpn&leafMask] == leafEmpty {
 		panic(fmt.Sprintf("pagetable: Remap(%#x): page not mapped", uint64(va)))
 	}
@@ -198,7 +232,7 @@ func (a *AddressSpace) Remap(va mem.VA, p mem.PFN) mem.PFN {
 func (a *AddressSpace) Unmap(va mem.VA) mem.PFN {
 	vpn := va.PageOf()
 	di := vpn >> dirShift
-	t := a.dir[di]
+	t := a.leaf(di)
 	if t == nil || t.entries[vpn&leafMask] == leafEmpty {
 		panic(fmt.Sprintf("pagetable: Unmap(%#x): page not mapped", uint64(va)))
 	}
@@ -206,7 +240,7 @@ func (a *AddressSpace) Unmap(va mem.VA) mem.PFN {
 	t.entries[vpn&leafMask] = leafEmpty
 	t.used--
 	if t.used == 0 {
-		delete(a.dir, di)
+		a.dir[di-a.dirBase] = nil
 	}
 	a.mapped--
 	return p
@@ -216,7 +250,7 @@ func (a *AddressSpace) Unmap(va mem.VA) mem.PFN {
 func (a *AddressSpace) Translate(va mem.VA) (mem.PFN, bool) {
 	a.WalkSteps++
 	vpn := va.PageOf()
-	t := a.dir[vpn>>dirShift]
+	t := a.leaf(vpn >> dirShift)
 	if t == nil {
 		return mem.NoPFN, false
 	}
@@ -227,18 +261,90 @@ func (a *AddressSpace) Translate(va mem.VA) (mem.PFN, bool) {
 	return p, true
 }
 
+// LeafRun returns the frames backing up to n consecutive pages starting at
+// the page containing va. The run is a view into the one leaf table that
+// maps va, so it ends at n pages, at the end of that leaf (leafSlots pages)
+// or just before the first unmapped page, whichever comes first; an empty
+// run means va itself is unmapped. Nothing is copied or allocated. The view
+// is read-only and valid until the next Map, Remap or Unmap.
+func (a *AddressSpace) LeafRun(va mem.VA, n uint64) []mem.PFN {
+	if n == 0 {
+		return nil
+	}
+	vpn := va.PageOf()
+	t := a.leaf(vpn >> dirShift)
+	if t == nil {
+		a.WalkSteps++
+		return nil
+	}
+	lo := vpn & leafMask
+	run := t.entries[lo:]
+	if n < uint64(len(run)) {
+		run = run[:n]
+	}
+	if t.used < leafSlots { // the leaf has holes: stop before the first
+		for i, p := range run {
+			if p == leafEmpty {
+				run = run[:i]
+				a.WalkSteps++
+				break
+			}
+		}
+	}
+	a.WalkSteps += uint64(len(run))
+	return run
+}
+
+// leaves calls fn, in ascending order, for every leaf table overlapping the
+// virtual page range [first, end) (end > first), with the table, the page
+// number of its slot 0 and the overlapping slots [lo, hi). Only directory
+// entries inside the directory slice are visited; the rest hold no table.
+// Each directory entry without a table costs one walk step; fn accounts for
+// the leaf entries it reads.
+func (a *AddressSpace) leaves(first, end uint64, fn func(t *ptTable, vpn0, lo, hi uint64)) {
+	diFirst, diLast := first>>dirShift, (end-1)>>dirShift
+	absent := diLast - diFirst + 1
+	if len(a.dir) > 0 {
+		from := max(diFirst, a.dirBase)
+		to := min(diLast, a.dirBase+uint64(len(a.dir))-1)
+		for di := from; di <= to; di++ {
+			t := a.dir[di-a.dirBase]
+			if t == nil {
+				continue
+			}
+			absent--
+			vpn0 := di << dirShift
+			lo, hi := uint64(0), uint64(leafSlots)
+			if di == diFirst {
+				lo = first & leafMask
+			}
+			if di == diLast {
+				hi = (end-1)&leafMask + 1
+			}
+			fn(t, vpn0, lo, hi)
+		}
+	}
+	a.WalkSteps += absent
+}
+
 // Walk visits every mapped page in the page-aligned range r in ascending VA
 // order, calling fn with the page's base VA and frame. This is the LKM's
 // page-table walk (§3.3.2): unmapped pages in the range are silently skipped,
-// exactly as a real walk finds no PTE.
+// exactly as a real walk finds no PTE. The walk reads one leaf table at a
+// time.
 func (a *AddressSpace) Walk(r mem.VARange, fn func(va mem.VA, p mem.PFN)) {
 	r = r.PageAlignInward()
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		a.WalkSteps++
-		if p, ok := a.Translate(va); ok {
-			fn(va, p)
-		}
+	if r.Empty() {
+		return
 	}
+	a.leaves(r.Start.PageOf(), r.End.PageOf(), func(t *ptTable, vpn0, lo, hi uint64) {
+		a.WalkSteps += hi - lo
+		for i := lo; i < hi; i++ {
+			if p := t.entries[i]; p != leafEmpty {
+				fn(mem.VA((vpn0+i)<<mem.PageShift), p)
+			}
+		}
+	})
 }
 
 // MapRange allocates fresh frames for every page of the page-aligned range r.
@@ -266,12 +372,24 @@ func (a *AddressSpace) MapRange(r mem.VARange) error {
 // can no longer be found by page-table walks.
 func (a *AddressSpace) UnmapRange(r mem.VARange) uint64 {
 	r = r.PageAlignInward()
-	var n uint64
-	for va := r.Start; va < r.End; va += mem.PageSize {
-		if _, ok := a.Translate(va); ok {
-			a.frames.Release(a.Unmap(va))
-			n++
-		}
+	if r.Empty() {
+		return 0
 	}
+	var n uint64
+	a.leaves(r.Start.PageOf(), r.End.PageOf(), func(t *ptTable, vpn0, lo, hi uint64) {
+		a.WalkSteps += hi - lo
+		for i := lo; i < hi; i++ {
+			if p := t.entries[i]; p != leafEmpty {
+				t.entries[i] = leafEmpty
+				t.used--
+				a.mapped--
+				a.frames.Release(p)
+				n++
+			}
+		}
+		if t.used == 0 {
+			a.dir[vpn0>>dirShift-a.dirBase] = nil
+		}
+	})
 	return n
 }

@@ -248,8 +248,9 @@ func TestWalkStepsCounterAdvances(t *testing.T) {
 	a.Map(0x1000, 1)
 	before := a.WalkSteps
 	a.Walk(mem.VARange{Start: 0x0, End: 0x8000}, func(mem.VA, mem.PFN) {})
-	if a.WalkSteps <= before {
-		t.Fatal("WalkSteps did not advance")
+	// One step per page-table entry: the walk reads 8 leaf entries.
+	if got := a.WalkSteps - before; got != 8 {
+		t.Fatalf("WalkSteps advanced by %d, want 8", got)
 	}
 }
 
@@ -292,5 +293,114 @@ func TestAddressSpaceRandomOpsConservation(t *testing.T) {
 		if f.Free()+a.Mapped() != frames {
 			t.Fatalf("conservation violated: free %d + mapped %d != %d", f.Free(), a.Mapped(), frames)
 		}
+	}
+}
+
+// mapPages maps n pages from va to frames drawn from a.
+func mapPages(t *testing.T, a *AddressSpace, va mem.VA, n uint64) {
+	t.Helper()
+	if err := a.MapRange(mem.VARange{Start: va, End: va + mem.VA(n*mem.PageSize)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLeafRunStopsAtLeafEndHoleAndCount(t *testing.T) {
+	a := NewAddressSpace(NewFrameAllocator(4096))
+	base := mem.VA(0x40000000) // leaf-aligned
+	mapPages(t, a, base, 1200)
+	hole := base + 700*mem.PageSize
+	a.frames.Release(a.Unmap(hole))
+
+	check := func(va mem.VA, n uint64, want int) {
+		t.Helper()
+		run := a.LeafRun(va, n)
+		if len(run) != want {
+			t.Fatalf("LeafRun(%#x, %d) has %d frames, want %d", uint64(va), n, len(run), want)
+		}
+		for i, p := range run {
+			if q, _ := a.Translate(va + mem.VA(i)*mem.PageSize); q != p {
+				t.Fatalf("LeafRun(%#x)[%d] = %d, Translate says %d", uint64(va), i, p, q)
+			}
+		}
+	}
+	check(base+10*mem.PageSize, 5, 5)      // ends at n
+	check(base+500*mem.PageSize, 100, 12)  // ends at the leaf boundary
+	check(base+600*mem.PageSize, 400, 100) // ends before the hole
+	check(hole, 10, 0)                     // starts on the hole
+	check(base+1190*mem.PageSize, 100, 10) // ends before the unmapped tail
+	check(base+1300*mem.PageSize, 1, 0)    // unmapped tail of a present leaf
+	check(0xffffffffffff0000, 8, 0)        // far from every mapping
+	check(base, 0, 0)                      // empty request
+
+	before := a.WalkSteps
+	a.LeafRun(base+600*mem.PageSize, 400) // 100 entries, then the hole
+	if got := a.WalkSteps - before; got != 101 {
+		t.Fatalf("LeafRun stopped by a hole took %d steps, want 101", got)
+	}
+}
+
+func TestLeafRunAllocatesNothing(t *testing.T) {
+	a := NewAddressSpace(NewFrameAllocator(1024))
+	mapPages(t, a, 0x40000000, 600)
+	allocs := testing.AllocsPerRun(100, func() {
+		a.LeafRun(0x40000000+100*mem.PageSize, 300)
+		a.LeafRun(0x0, 1)
+		a.LeafRun(0xffffffffffff0000, 1)
+		a.Translate(0xffffffffffff0000)
+	})
+	if allocs != 0 {
+		t.Fatalf("lookups allocated %v times per run, want 0", allocs)
+	}
+}
+
+// The directory is a slice from the lowest to the highest mapped directory
+// index: mapping below the base or past the top grows it, and lookups
+// anywhere else find nothing.
+func TestDirectoryGrowsBothWays(t *testing.T) {
+	a := NewAddressSpace(NewFrameAllocator(64))
+	vas := []mem.VA{0x40000000, 0x40000000 + 5<<21, 0x40000000 - 3<<21, 0x40000000 + 1<<21 + 0x3000}
+	for i, va := range vas {
+		a.Map(va, mem.PFN(i))
+	}
+	for i, va := range vas {
+		if p, ok := a.Translate(va); !ok || p != mem.PFN(i) {
+			t.Fatalf("Translate(%#x) = %d,%v, want %d", uint64(va), p, ok, i)
+		}
+	}
+	if len(a.dir) != 9 {
+		t.Fatalf("directory spans %d leaves, want 9", len(a.dir))
+	}
+	for _, va := range []mem.VA{0x0, 0x40000000 - 4<<21, 0x40000000 + 6<<21, 0x40000000 + 2<<21, 0xfffffffffffff000} {
+		if _, ok := a.Translate(va); ok {
+			t.Fatalf("Translate(%#x) found a mapping", uint64(va))
+		}
+	}
+	// Emptying a leaf drops its table; the slot maps again later.
+	a.Unmap(vas[2])
+	if _, ok := a.Translate(vas[2]); ok {
+		t.Fatal("unmapped page still translates")
+	}
+	a.Map(vas[2], 9)
+	if p, _ := a.Translate(vas[2]); p != 9 {
+		t.Fatalf("remapped page translates to %d, want 9", p)
+	}
+}
+
+// A walk or unmap over the whole address space reads only the leaf tables
+// that exist; it never iterates the unmapped expanse page by page.
+func TestWalkWholeAddressSpace(t *testing.T) {
+	a := NewAddressSpace(NewFrameAllocator(64))
+	mapPages(t, a, 0x40000000+510*mem.PageSize, 4) // straddles two leaves
+	all := mem.VARange{Start: 0, End: 0xfffffffffffff000}
+	var got []mem.VA
+	a.Walk(all, func(va mem.VA, _ mem.PFN) { got = append(got, va) })
+	if len(got) != 4 || got[0] != 0x40000000+510*mem.PageSize || got[3] != 0x40000000+513*mem.PageSize {
+		t.Fatalf("Walk visited %#x", got)
+	}
+	if n := a.UnmapRange(all); n != 4 || a.Mapped() != 0 {
+		t.Fatalf("UnmapRange freed %d, %d still mapped", n, a.Mapped())
+	}
+	if a.frames.Free() != 64 {
+		t.Fatalf("%d frames free after UnmapRange, want 64", a.frames.Free())
 	}
 }
