@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-smoke bench-json
+.PHONY: all build test race vet fmt check examples bench bench-smoke bench-json
 
 all: build
 
@@ -34,6 +34,13 @@ fmt:
 	fi
 
 check: fmt vet build test race
+
+# examples runs every examples/* program and fails on the first non-zero
+# exit: they are the only non-test callers of several facade entry points.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

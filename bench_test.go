@@ -312,8 +312,8 @@ func BenchmarkEngine_JavmmDerbyStageProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.RunMigration(experiments.RunOpts{
 			Profile: prof, Mode: migration.ModeAppAssisted, Seed: int64(i),
-			Warmup:       300 * time.Second,
-			EngineConfig: &migration.Config{Perf: stages},
+			Warmup: 300 * time.Second,
+			Engine: migration.Config{Perf: stages},
 		})
 		if err != nil {
 			b.Fatal(err)

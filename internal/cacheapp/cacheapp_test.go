@@ -149,15 +149,8 @@ func TestAssistedMigrationSkipsColdTail(t *testing.T) {
 	app.Run(5 * time.Second)
 
 	dest := migration.NewDestination(g.Dom.NumPages())
-	src := &migration.Source{
-		Dom:   g.Dom,
-		LKM:   g.LKM,
-		Link:  netsim.NewLink(clock, 50*1000*1000, 0),
-		Clock: clock,
-		Exec:  app,
-		Dest:  dest,
-		Cfg:   migration.Config{Mode: migration.ModeAppAssisted},
-	}
+	src := migration.NewSource(g, netsim.NewLink(clock, 50*1000*1000, 0), dest, app,
+		migration.Config{Mode: migration.ModeAppAssisted})
 	rep, err := src.Migrate()
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +160,7 @@ func TestAssistedMigrationSkipsColdTail(t *testing.T) {
 	if rep.TotalBytes() >= g.Dom.MemoryBytes() {
 		t.Fatalf("traffic %d >= memory %d despite skipping", rep.TotalBytes(), g.Dom.MemoryBytes())
 	}
-	err = migration.VerifyMigration(g.Dom.Store(), dest.Store, rep.FinalTransfer,
-		func(p mem.PFN) bool { return g.Frames.Allocated(p) })
-	if err != nil {
+	if err := src.Verify(rep, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Hot pages specifically must match at the destination.
@@ -187,12 +178,9 @@ func TestAssistedMigrationSkipsColdTail(t *testing.T) {
 	vanillaTraffic := func() uint64 {
 		app2, g2, clock2 := launch(t, false)
 		app2.Run(5 * time.Second)
-		dest2 := migration.NewDestination(g2.Dom.NumPages())
-		src2 := &migration.Source{
-			Dom: g2.Dom, Link: netsim.NewLink(clock2, 50*1000*1000, 0),
-			Clock: clock2, Exec: app2, Dest: dest2,
-			Cfg: migration.Config{Mode: migration.ModeVanilla},
-		}
+		src2 := migration.NewSource(g2, netsim.NewLink(clock2, 50*1000*1000, 0),
+			migration.NewDestination(g2.Dom.NumPages()), app2,
+			migration.Config{Mode: migration.ModeVanilla})
 		rep2, err := src2.Migrate()
 		if err != nil {
 			t.Fatal(err)

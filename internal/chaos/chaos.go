@@ -242,20 +242,13 @@ func runTrial(opts *Options, mode migration.Mode, plan faults.Plan) (string, str
 	if err != nil {
 		return "plan-invalid", err.Error()
 	}
-	link := netsim.NewLink(clock, opts.Bandwidth, 100*time.Microsecond)
-	link.SetFaults(inj)
-	dest := migration.NewDestination(opts.Pages)
-	dest.SetFaults(inj)
-	guest.LKM.SetFaults(inj)
-	guest.Bus.SetFaults(inj)
 	led := ledger.New()
 	cfg := migration.Config{Mode: mode, Faults: inj, Ledger: led}
 	cfg.Recovery.EnableResume = true
 	cfg.Integrity.Disable = opts.DisableIntegrityAudit
-	src := &migration.Source{
-		Dom: dom, LKM: guest.LKM, Link: link, Clock: clock,
-		Exec: exec, Dest: dest, Cfg: cfg,
-	}
+	dest := migration.NewDestination(opts.Pages)
+	src := migration.NewSource(guest, netsim.NewLink(clock, opts.Bandwidth, 100*time.Microsecond),
+		dest, exec, cfg)
 	rep, err := src.Migrate()
 
 	// Invariant: whatever happened, the engine hands back a report.
@@ -282,7 +275,7 @@ func runTrial(opts *Options, mode migration.Mode, plan faults.Plan) (string, str
 		}
 		// Invariant: a resumed run (fault plane detached) converges to a
 		// verified completion.
-		return checkResume(opts, src, link, dest, guest, rec.Token)
+		return checkResume(src, rec.Token)
 	}
 	// Invariant: a completed run's destination holds the source's content
 	// for every page of the final transfer set (pre-copy engines; after a
@@ -338,22 +331,11 @@ func checkImage(dom *hypervisor.Domain, dest *migration.Destination, rep *migrat
 
 // checkResume detaches the fault plane and resumes from the token; the
 // resumed run must complete, reconcile, and leave a faithful image.
-func checkResume(opts *Options, src *migration.Source, link *netsim.Link,
-	dest *migration.Destination, guest *guestos.Guest, tok *migration.ResumeToken) (string, string) {
-	link.SetFaults(nil)
-	dest.SetFaults(nil)
-	guest.LKM.SetFaults(nil)
-	guest.Bus.SetFaults(nil)
+func checkResume(src *migration.Source, tok *migration.ResumeToken) (string, string) {
+	src.DetachFaults()
 	led := ledger.New()
-	cfg := src.Cfg
-	cfg.Faults = nil
-	cfg.Ledger = led
-	cfg.Integrity.Disable = opts.DisableIntegrityAudit
-	re := &migration.Source{
-		Dom: src.Dom, LKM: guest.LKM, Link: link, Clock: src.Clock,
-		Exec: src.Exec, Dest: dest, Cfg: cfg,
-	}
-	rep, err := re.Resume(tok)
+	src.Cfg.Ledger = led
+	rep, err := src.Resume(tok)
 	if err != nil {
 		return "resume-diverged", fmt.Sprintf("fault-free resume failed: %v", err)
 	}
@@ -364,7 +346,7 @@ func checkResume(opts *Options, src *migration.Source, link *netsim.Link,
 		return inv, detail
 	}
 	if rep.PostCopy == nil {
-		return checkImage(src.Dom, dest, rep, "resume")
+		return checkImage(src.Dom, src.Dest, rep, "resume")
 	}
 	return "", ""
 }

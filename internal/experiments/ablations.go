@@ -41,8 +41,8 @@ func AblationCompression(o Options) (*Table, error) {
 	}
 	for _, c := range configs {
 		opts := o.runOpts(prof, c.mode, o.Seeds[0])
-		opts.Compress = c.compress
-		opts.HintedCompress = c.hinted
+		opts.Engine.Compress = c.compress
+		opts.Engine.HintedCompression = c.hinted
 		r, err := RunMigration(opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: compression ablation %s: %w", c.name, err)
@@ -405,16 +405,8 @@ func RunCacheMigration(mode migration.Mode, memBytes, cacheBytes, bandwidth uint
 	}
 	app.Run(warmup)
 
-	dest := migration.NewDestination(dom.NumPages())
-	src := &migration.Source{
-		Dom:   dom,
-		LKM:   g.LKM,
-		Link:  netsim.NewLink(clock, bandwidth, 100*time.Microsecond),
-		Clock: clock,
-		Exec:  app,
-		Dest:  dest,
-		Cfg:   migration.Config{Mode: mode},
-	}
+	src := migration.NewSource(g, netsim.NewLink(clock, bandwidth, 100*time.Microsecond),
+		migration.NewDestination(dom.NumPages()), app, migration.Config{Mode: mode})
 	rep, err := src.Migrate()
 	if err != nil {
 		return nil, err
@@ -424,8 +416,7 @@ func RunCacheMigration(mode migration.Mode, memBytes, cacheBytes, bandwidth uint
 	// them — exactly the §6 contract.
 	purgedPFNs := make(map[mem.PFN]bool)
 	app.Proc().AS.Walk(app.PurgedRegion(), func(va mem.VA, q mem.PFN) { purgedPFNs[q] = true })
-	out.VerifyErr = migration.VerifyMigration(dom.Store(), dest.Store, rep.FinalTransfer,
-		func(p mem.PFN) bool { return g.Frames.Allocated(p) && !purgedPFNs[p] })
+	out.VerifyErr = src.Verify(rep, func(p mem.PFN) bool { return !purgedPFNs[p] })
 
 	resumeAt := clock.Now()
 	opsAt := app.TotalOps

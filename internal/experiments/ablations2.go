@@ -94,7 +94,7 @@ func AblationDelta(o Options) (*Table, error) {
 	for _, c := range configs {
 		opts := o.runOpts(prof, c.mode, o.Seeds[0])
 		if c.delta {
-			opts.EngineConfig = &migration.Config{DeltaCompression: true}
+			opts.Engine.DeltaCompression = true
 		}
 		r, err := RunMigration(opts)
 		if err != nil {
@@ -203,7 +203,7 @@ func AblationFreePages(o Options) (*Table, error) {
 	for _, c := range cases {
 		opts := o.runOpts(c.prof, migration.ModeVanilla, o.Seeds[0])
 		opts.Warmup = c.warmup
-		opts.SkipFreePages = c.skip
+		opts.Engine.SkipFreePages = c.skip
 		r, err := RunMigration(opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: free-page ablation %s: %w", c.label, err)
@@ -272,15 +272,8 @@ func AblationCongestion(o Options) (*Table, error) {
 			if congested {
 				link.Modulator = congest(vm.Clock.Now())
 			}
-			src := &migration.Source{
-				Dom:   vm.Dom,
-				LKM:   vm.Guest.LKM,
-				Link:  link,
-				Clock: vm.Clock,
-				Exec:  vm.Driver,
-				Dest:  migration.NewDestination(vm.Dom.NumPages()),
-				Cfg:   migration.Config{Mode: mode},
-			}
+			src := migration.NewSource(vm.Guest, link, migration.NewDestination(vm.Dom.NumPages()),
+				vm.Driver, migration.Config{Mode: mode})
 			rep, err := src.Migrate()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: congestion ablation %s: %w", mode, err)

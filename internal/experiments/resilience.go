@@ -83,7 +83,7 @@ func AblationResilience(o Options) (*Table, error) {
 		opts := o.runOpts(prof, sc.mode, o.Seeds[0])
 		opts.Cooldown = 0
 		opts.FaultPlan = sc.plan
-		opts.RecoverySeed = o.Seeds[0]
+		opts.Engine.Recovery.Seed = o.Seeds[0]
 		opts.AllowAbort = sc.allowAbort
 		opts.ResumeAfterAbort = sc.resume
 		run, err := RunMigration(opts)

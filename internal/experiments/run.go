@@ -11,12 +11,9 @@ import (
 
 	"javmm/internal/faults"
 	"javmm/internal/jvm"
-	"javmm/internal/mem"
 	"javmm/internal/migration"
 	"javmm/internal/netsim"
-	"javmm/internal/obs"
 	"javmm/internal/obs/attrib"
-	"javmm/internal/obs/ledger"
 	"javmm/internal/workload"
 )
 
@@ -56,28 +53,15 @@ type RunOpts struct {
 	Collector     string
 	AgentReReport *bool
 
-	// Engine extensions under ablation.
-	Compress       bool
-	HintedCompress bool // per-page hints from the agent (§6, X2)
-	ThrottleFactor float64
-	SkipFreePages  bool
-	// MigrationConfig tweaks beyond the defaults; Mode/Compress/Throttle
-	// fields above win.
-	EngineConfig *migration.Config
-
-	// Tracer and Metrics, when non-nil, observe the run: they are attached
-	// to every instrumented layer of the booted VM and threaded through the
-	// migration engine, so one experiment produces one coherent trace.
-	Tracer  *obs.Tracer
-	Metrics *obs.Metrics
-	// Ledger, when non-nil, records the run's per-page provenance and
-	// enables the Attribution carried on the Run.
-	Ledger *ledger.Ledger
+	// Engine is the engine configuration under ablation (compression,
+	// hints, free-page skipping, recovery seed, ...); Mode above and
+	// LKMRewalk win over its fields. Engine.HintedCompression also boots
+	// the agent with per-page hints (§6, X2).
+	Engine migration.Config
 
 	// FaultPlan, when non-empty, injects faults into every layer of the run
-	// (resilience experiments); RecoverySeed seeds the retry backoff jitter.
-	FaultPlan    faults.Plan
-	RecoverySeed int64
+	// (resilience experiments).
+	FaultPlan faults.Plan
 	// AllowAbort tolerates a fault-aborted migration: instead of an error,
 	// RunMigration returns the Run with Aborted set and the partial report
 	// (source resumed, destination discarded).
@@ -141,9 +125,9 @@ type Run struct {
 
 	// Attribution is the reconciled downtime/traffic accounting of the
 	// run, always present (the per-reason ledger breakdown only when
-	// RunOpts.Ledger was set). RunMigration fails if it does not reconcile
-	// with the Report — figures must not be built from numbers that do not
-	// add up.
+	// RunOpts.Engine.Ledger was set). RunMigration fails if it does not
+	// reconcile with the Report — figures must not be built from numbers
+	// that do not add up.
 	Attribution *attrib.Attribution
 
 	// Aborted marks a fault-aborted run (only with RunOpts.AllowAbort);
@@ -164,6 +148,15 @@ type Run struct {
 // combined observations.
 func RunMigration(opts RunOpts) (*Run, error) {
 	opts.fillDefaults()
+	if opts.ResumeAfterAbort {
+		if opts.Engine.Ledger != nil {
+			// One ledger cannot serve two runs: the continuation's sends
+			// would land on top of the aborted run's and break the
+			// attribution reconciliation against the first report.
+			return nil, fmt.Errorf("experiments: ResumeAfterAbort is incompatible with a shared Ledger")
+		}
+		opts.AllowAbort = true
+	}
 	prof := opts.Profile
 	if opts.MaxYoungOverride != 0 {
 		prof.MaxYoungBytes = opts.MaxYoungOverride
@@ -180,15 +173,11 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		LKMRewalk:     opts.LKMRewalk,
 		Collector:     opts.Collector,
 		AgentReReport: opts.AgentReReport,
-		AgentHints:    opts.HintedCompress,
+		AgentHints:    opts.Engine.HintedCompression,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tracer != nil || opts.Metrics != nil {
-		vm.AttachObs(opts.Tracer, opts.Metrics)
-	}
-
 	vm.Driver.Run(opts.Warmup)
 	if vm.Driver.Err != nil {
 		return nil, fmt.Errorf("experiments: warmup failed: %w", vm.Driver.Err)
@@ -213,34 +202,10 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		MigrationStartSecond:      int(vm.Clock.Now() / time.Second),
 	}
 
-	cfg := migration.Config{}
-	if opts.EngineConfig != nil {
-		cfg = *opts.EngineConfig
-	}
+	cfg := opts.Engine
 	cfg.Mode = opts.Mode
-	if opts.Compress {
-		cfg.Compress = true
-	}
-	if opts.ThrottleFactor != 0 {
-		cfg.ThrottleFactor = opts.ThrottleFactor
-	}
 	if opts.LKMRewalk {
 		cfg.ConservativeLastIter = true
-	}
-	if opts.SkipFreePages {
-		cfg.SkipFreePages = true
-	}
-	if opts.HintedCompress {
-		cfg.HintedCompression = true
-	}
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
-	}
-	if opts.Metrics != nil {
-		cfg.Metrics = opts.Metrics
-	}
-	if opts.Ledger != nil {
-		cfg.Ledger = opts.Ledger
 	}
 	var inj *faults.Injector
 	if len(opts.FaultPlan) > 0 {
@@ -248,41 +213,14 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		inj.SetObs(opts.Tracer, opts.Metrics)
+		inj.SetObs(cfg.Tracer, cfg.Metrics)
 		cfg.Faults = inj
-		cfg.Recovery.Seed = opts.RecoverySeed
-		vm.Guest.LKM.SetFaults(inj)
-		vm.Guest.Bus.SetFaults(inj)
 	}
 	if opts.ResumeAfterAbort {
-		if opts.Ledger != nil {
-			// One ledger cannot serve two runs: the continuation's sends
-			// would land on top of the aborted run's and break the
-			// attribution reconciliation against the first report.
-			return nil, fmt.Errorf("experiments: ResumeAfterAbort is incompatible with a shared Ledger")
-		}
-		opts.AllowAbort = true
 		cfg.Recovery.EnableResume = true
 	}
-	link := netsim.NewLink(vm.Clock, opts.Bandwidth, 100*time.Microsecond)
-	link.SetMetrics(opts.Metrics)
-	link.SetFaults(inj)
-	dest := migration.NewDestination(vm.Dom.NumPages())
-	dest.SetFaults(inj)
-
-	src := &migration.Source{
-		Dom:   vm.Dom,
-		LKM:   vm.Guest.LKM,
-		Link:  link,
-		Clock: vm.Clock,
-		Exec:  vm.Driver,
-		Dest:  dest,
-		Cfg:   cfg,
-		GuestFree: func(p mem.PFN) bool {
-			return !vm.Guest.Frames.Allocated(p)
-		},
-		HintFor: vm.Guest.LKM.HintFor,
-	}
+	src := migration.NewSource(vm.Guest, netsim.NewLink(vm.Clock, opts.Bandwidth, 100*time.Microsecond),
+		migration.NewDestination(vm.Dom.NumPages()), vm.Driver, cfg)
 	report, err := src.Migrate()
 	aborted := false
 	if err != nil {
@@ -309,11 +247,7 @@ func RunMigration(opts RunOpts) (*Run, error) {
 		// Detach the injector everywhere and let the guest run on: the
 		// continuation is fault-free and pays only for what the token
 		// cannot vouch for.
-		link.SetFaults(nil)
-		dest.SetFaults(nil)
-		vm.Guest.LKM.SetFaults(nil)
-		vm.Guest.Bus.SetFaults(nil)
-		src.Cfg.Faults = nil
+		src.DetachFaults()
 		vm.Driver.Run(2 * time.Second)
 		if vm.Driver.Err != nil {
 			return nil, fmt.Errorf("experiments: workload failed between abort and resume: %w", vm.Driver.Err)
@@ -323,39 +257,17 @@ func RunMigration(opts RunOpts) (*Run, error) {
 			return nil, fmt.Errorf("experiments: resume after abort failed: %w", rerr)
 		}
 		run.ResumeReport = rrep
-		if rrep.PostCopy == nil {
-			run.ResumeVerifyErr = migration.VerifyMigration(
-				vm.Dom.Store(), src.Dest.Store, rrep.FinalTransfer,
-				func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
-		}
+		run.ResumeVerifyErr = src.Verify(rrep, nil)
 	}
 
-	// Runs with a post-copy phase have no store-equality counterpart: the
-	// guest keeps running (and dirtying) after switchover, and the engine's
-	// demand-fetch path guarantees residency by construction. Aborted runs
-	// discarded the destination — there is nothing to verify.
-	if report.PostCopy == nil && !aborted {
-		run.VerifyErr = migration.VerifyMigration(
-			vm.Dom.Store(), src.Dest.Store, report.FinalTransfer,
-			func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
+	// Aborted runs discarded the destination — there is nothing to verify.
+	if !aborted {
+		run.VerifyErr = src.Verify(report, nil)
 	}
 
-	// Pull the enforced-GC duration from the collector's history.
-	hist := vm.Heap.GCHistory()
-	for i := len(hist) - 1; i >= 0; i-- {
-		if st := hist[i]; st.Enforced {
-			run.EnforcedGC = st.Duration
-			break
-		}
-	}
-	run.WorkloadDowntime = report.VMDowntime
-	// Keyed on the EFFECTIVE mode: a run degraded to vanilla pre-copy never
-	// performed the final update and charges neither assisted component.
-	if report.EffectiveMode() == migration.ModeAppAssisted {
-		run.WorkloadDowntime += run.EnforcedGC + report.FinalUpdate
-	}
-
-	run.Attribution = attrib.Build(report, run.EnforcedGC, opts.Ledger)
+	run.EnforcedGC = vm.EnforcedGC()
+	run.WorkloadDowntime = migration.WorkloadDowntime(report, run.EnforcedGC)
+	run.Attribution = attrib.Build(report, run.EnforcedGC, cfg.Ledger)
 	if err := run.Attribution.Reconcile(report); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

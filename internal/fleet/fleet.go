@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"javmm/internal/mem"
 	"javmm/internal/migration"
 	"javmm/internal/netsim"
 	"javmm/internal/obs"
@@ -252,14 +251,10 @@ func Run(opts Options) (*Result, error) {
 		cfg := opts.Engine
 		cfg.Mode = opts.Mode
 		if plane != nil {
-			port.SetMetrics(plane.Metrics)
-			dest.SetMetrics(plane.Metrics)
 			cfg.Tracer = plane.Tracer
 			cfg.Metrics = plane.Metrics
 			cfg.Ledger = plane.Ledger
 		} else {
-			port.SetMetrics(metrics)
-			dest.SetMetrics(metrics)
 			if metrics != nil {
 				cfg.Metrics = metrics
 			}
@@ -269,22 +264,10 @@ func Run(opts Options) (*Result, error) {
 				cfg.OnProgress = func(p migration.Progress) { cb(vmName, p) }
 			}
 		}
-		guest := vm.Guest
-		srcs[i] = &migration.Source{
-			Dom:   vm.Dom,
-			LKM:   guest.LKM,
-			Link:  port,
-			Clock: clock,
-			// Exec stays nil: the engine's advance() falls through to
-			// Clock.Advance, a cooperative sleep, and the VM's own guest
-			// process executes the workload meanwhile.
-			Dest: dest,
-			Cfg:  cfg,
-			GuestFree: func(p mem.PFN) bool {
-				return !guest.Frames.Allocated(p)
-			},
-			HintFor: guest.LKM.HintFor,
-		}
+		// Exec stays nil: the engine's advance() falls through to
+		// Clock.Advance, a cooperative sleep, and the VM's own guest process
+		// executes the workload meanwhile.
+		srcs[i] = migration.NewSource(vm.Guest, port, dest, nil, cfg)
 		vms[i] = vm
 	}
 
@@ -315,7 +298,7 @@ func Run(opts Options) (*Result, error) {
 				r.Err = err
 				return
 			}
-			r.Err = r.complete(vm, report, opts.SkipVerify)
+			r.Err = r.complete(vm, src, report, opts.SkipVerify)
 		})
 	}
 	sched.Run()
@@ -373,25 +356,14 @@ func startGuests(sched *simclock.Scheduler, vms []*workload.VM,
 // other process has run since the engine finished, so the source store is
 // exactly what stop-and-copy shipped. It returns the workload's own failure
 // if the guest died during the migration.
-func (r *VMResult) complete(vm *workload.VM, report *migration.Report, skipVerify bool) error {
+func (r *VMResult) complete(vm *workload.VM, src *migration.Source, report *migration.Report, skipVerify bool) error {
 	if werr := vm.Driver.Err; werr != nil {
 		return fmt.Errorf("fleet: workload failed during migration: %w", werr)
 	}
-	hist := vm.Heap.GCHistory()
-	for j := len(hist) - 1; j >= 0; j-- {
-		if st := hist[j]; st.Enforced {
-			r.EnforcedGC = st.Duration
-			break
-		}
-	}
-	r.WorkloadDowntime = report.VMDowntime
-	if report.EffectiveMode() == migration.ModeAppAssisted {
-		r.WorkloadDowntime += r.EnforcedGC + report.FinalUpdate
-	}
-	if !skipVerify && report.PostCopy == nil {
-		r.VerifyErr = migration.VerifyMigration(
-			vm.Dom.Store(), r.dest.Store, report.FinalTransfer,
-			vm.Guest.Frames.Allocated)
+	r.EnforcedGC = vm.EnforcedGC()
+	r.WorkloadDowntime = migration.WorkloadDowntime(report, r.EnforcedGC)
+	if !skipVerify {
+		r.VerifyErr = src.Verify(report, nil)
 	}
 	return nil
 }

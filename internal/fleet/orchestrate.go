@@ -175,12 +175,7 @@ type MoveResult struct {
 	HealBackoff     time.Duration
 	TokenSavedBytes uint64
 
-	src   *migration.Source
-	guest frameChecker
-}
-
-type frameChecker interface {
-	Allocated(mem.PFN) bool
+	src *migration.Source
 }
 
 // SourceRunning reports whether the move's source VM is executing (not
@@ -225,12 +220,9 @@ func (r *PlanResult) detachFaults() {
 	}
 	r.fabric.SetHostFaults(nil)
 	for i := range r.Moves {
-		m := &r.Moves[i]
-		if m.src == nil {
-			continue
+		if src := r.Moves[i].src; src != nil {
+			src.DetachFaults()
 		}
-		m.src.Dest.SetFaults(nil)
-		m.src.LKM.SetFaults(nil)
 	}
 	r.faults = nil
 }
@@ -249,23 +241,14 @@ func (r *PlanResult) ResumeAborted(i int) (*migration.Report, error) {
 		return nil, fmt.Errorf("fleet: resume: move %d (%s) has no resume token", i, m.Name)
 	}
 	r.detachFaults()
-	cfg := m.src.Cfg
-	cfg.Faults = nil
-	cfg.Ledger = nil
-	re := &migration.Source{
-		Dom: m.src.Dom, LKM: m.src.LKM, Link: m.src.Link, Clock: r.clock,
-		Dest: m.src.Dest, Cfg: cfg,
-	}
-	rep, err := re.Resume(m.Report.Recovery.Token)
+	// The plane's ledger belongs to the aborted run it reconciles with.
+	m.src.Cfg.Ledger = nil
+	rep, err := m.src.Resume(m.Report.Recovery.Token)
 	if err != nil {
 		return rep, fmt.Errorf("fleet: resume of %s failed: %w", m.Name, err)
 	}
-	if rep.PostCopy == nil {
-		if verr := migration.VerifyMigration(
-			m.src.Dom.Store(), m.src.Dest.Store, rep.FinalTransfer,
-			m.guest.Allocated); verr != nil {
-			return rep, fmt.Errorf("fleet: resumed %s but image diverged: %w", m.Name, verr)
-		}
+	if verr := m.src.Verify(rep, nil); verr != nil {
+		return rep, fmt.Errorf("fleet: resumed %s but image diverged: %w", m.Name, verr)
 	}
 	return rep, nil
 }
@@ -350,7 +333,6 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 
 	vms := make([]*workload.VM, n)
 	profs := make([]workload.Profile, n)
-	planes := make([]*fleetobs.VMPlane, n)
 	for i, mv := range moves {
 		m := &res.Moves[i]
 		m.From, m.To = mv.From, mv.To
@@ -368,7 +350,6 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 		if coll != nil {
 			plane = coll.AttachVM(mv.VM.Name)
 		}
-		planes[i] = plane
 		vm, err := workload.Boot(workload.BootConfig{
 			Name:     mv.VM.Name,
 			MemBytes: mv.VM.memBytes(),
@@ -399,13 +380,8 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 		}
 		if opts.Faults != nil {
 			cfg.Faults = opts.Faults
-			dest.SetFaults(opts.Faults)
-			vm.Guest.LKM.SetFaults(opts.Faults)
-			vm.Guest.Bus.SetFaults(opts.Faults)
 		}
 		if plane != nil {
-			port.SetMetrics(plane.Metrics)
-			dest.SetMetrics(plane.Metrics)
 			cfg.Tracer = plane.Tracer
 			cfg.Metrics = plane.Metrics
 			cfg.Ledger = plane.Ledger
@@ -413,20 +389,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 			vmName := mv.VM.Name
 			cfg.OnProgress = func(p migration.Progress) { observe(vmName, p) }
 		}
-		guest := vm.Guest
-		m.src = &migration.Source{
-			Dom:   vm.Dom,
-			LKM:   guest.LKM,
-			Link:  port,
-			Clock: clock,
-			Dest:  dest,
-			Cfg:   cfg,
-			GuestFree: func(p mem.PFN) bool {
-				return !guest.Frames.Allocated(p)
-			},
-			HintFor: guest.LKM.HintFor,
-		}
-		m.guest = guest.Frames
+		m.src = migration.NewSource(vm.Guest, port, dest, nil, cfg)
 		m.Name = vm.Dom.Name()
 		m.dest = dest
 		vms[i] = vm
@@ -453,7 +416,6 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 		i := i
 		vm := vms[i]
 		m := &res.Moves[i]
-		plane := planes[i]
 		sched.Go(vm.Dom.Name()+"/engine", func() {
 			defer func() { remaining-- }()
 			// Per-move jitter PRNG: the whole healing schedule replays
@@ -501,7 +463,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 				}
 				if err == nil {
 					m.Attempts = append(m.Attempts, att)
-					if m.Err = m.complete(vm, report, opts.SkipVerify); m.Err != nil {
+					if m.Err = m.complete(vm, m.src, report, opts.SkipVerify); m.Err != nil {
 						m.Outcome = OutcomeFailed
 						return
 					}
@@ -581,15 +543,7 @@ func Orchestrate(opts OrchestratorOptions) (*PlanResult, error) {
 					}
 					ndest := migration.NewDestination(vm.Dom.NumPages())
 					ndest.SetHostName(newTo)
-					if opts.Faults != nil {
-						ndest.SetFaults(opts.Faults)
-					}
-					if plane != nil {
-						port.SetMetrics(plane.Metrics)
-						ndest.SetMetrics(plane.Metrics)
-					}
-					m.src.Link = port
-					m.src.Dest = ndest
+					m.src.Retarget(port, ndest)
 					m.dest = ndest
 					m.To = newTo
 					m.Route = route

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"javmm/internal/faults"
 	"javmm/internal/migration"
 	"javmm/internal/obs/sla"
 	"javmm/internal/workload"
@@ -347,5 +348,48 @@ func TestOrchestratorCycleAwareQuietLaunches(t *testing.T) {
 	}
 	if quiet == 0 {
 		t.Fatal("no launch used a quiet window")
+	}
+}
+
+// ResumeAborted must run fault-free: every layer the launch wired the
+// injector into — the netlink bus included — is detached before the resume,
+// so a netlink rule that is still live logs nothing, and the resumed image
+// verifies.
+func TestOrchestratorResumeAbortedDetachesEveryLayer(t *testing.T) {
+	opts := orchOpts(t, 1, migration.ModeAppAssisted, OrderAdmission)
+	opts.Cluster = orchCluster(1, false)
+	opts.Engine.Recovery.EnableResume = true
+	opts.FaultPlan = faults.Plan{
+		{Site: faults.SiteDestCrash, At: 2 * time.Second},
+		{Site: faults.SiteNetlinkDelay, Count: 1 << 30, Delay: time.Millisecond},
+	}
+	res, err := Orchestrate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &res.Moves[0]
+	if !errors.Is(m.Err, migration.ErrDestinationLost) {
+		t.Fatalf("move error = %v, want a lost destination", m.Err)
+	}
+	inj := res.faults
+	netlinkFired := 0
+	for _, e := range inj.Events() {
+		if e.Site == faults.SiteNetlinkDelay {
+			netlinkFired++
+		}
+	}
+	if netlinkFired == 0 {
+		t.Fatal("the netlink rule never fired during the aborted run")
+	}
+	before := len(inj.Events())
+	rep, err := res.ResumeAborted(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resume == nil {
+		t.Fatal("resumed run carries no resume section")
+	}
+	if got := inj.Events()[before:]; len(got) != 0 {
+		t.Fatalf("injector fired %d faults during the resume (first: %+v)", len(got), got[0])
 	}
 }

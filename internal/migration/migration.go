@@ -50,11 +50,11 @@ type Source struct {
 	Dest  *Destination
 	Cfg   Config
 	// GuestFree reports whether a frame is on the guest kernel's free list;
-	// required when Cfg.SkipFreePages is set (typically
-	// guest.Frames.Allocated negated).
+	// required when Cfg.SkipFreePages is set. NewSource derives it from the
+	// guest's frame allocator.
 	GuestFree func(p mem.PFN) bool
 	// HintFor returns a page's compression hint (guestos.Hint*); required
-	// when Cfg.HintedCompression is set (typically the LKM's HintFor).
+	// when Cfg.HintedCompression is set. NewSource uses the LKM's HintFor.
 	HintFor func(p mem.PFN) uint8
 
 	// Stage overrides. Each nil field selects the default implementation
@@ -65,6 +65,10 @@ type Source struct {
 	Stop     StopPolicy
 	Protocol SuspensionProtocol // ModeAppAssisted only; default LKM.Protocol()
 	Sink     PageSink           // default: Dest
+
+	// guest is the guest NewSource wired the source to (nil for a Source
+	// built by hand); DetachFaults and Verify reach its bus and frames.
+	guest *guestos.Guest
 
 	// mutable state during one migration
 	report    *Report

@@ -96,11 +96,11 @@ type Attribution struct {
 // duration of the pre-suspension collection (zero when none ran); led may be
 // nil or inactive, in which case the per-reason breakdown is absent.
 //
-// The downtime model mirrors the public API's WorkloadDowntime formula: the
-// VM-paused window always splits into StopAndCopy and Resumption, and JAVMM
-// runs additionally charge the enforced GC and the final bitmap update —
-// work the guest performs while nominally running, but which the workload
-// experiences as downtime (paper §5.3).
+// The downtime model is migration.WorkloadDowntime: the VM-paused window
+// always splits into StopAndCopy and Resumption, and JAVMM runs additionally
+// charge the enforced GC and the final bitmap update — work the guest
+// performs while nominally running, but which the workload experiences as
+// downtime (paper §5.3).
 func Build(r *migration.Report, enforcedGC time.Duration, led *ledger.Ledger) *Attribution {
 	a := &Attribution{
 		Mode:          r.Mode,
@@ -111,7 +111,7 @@ func Build(r *migration.Report, enforcedGC time.Duration, led *ledger.Ledger) *A
 		TotalPages:    r.TotalPagesSent,
 	}
 	a.StopAndCopy = r.VMDowntime - r.Resumption
-	a.WorkloadDowntime = r.VMDowntime
+	a.WorkloadDowntime = migration.WorkloadDowntime(r, enforcedGC)
 	// The assisted-mode downtime components are keyed on the EFFECTIVE mode:
 	// a run degraded to vanilla pre-copy never performed the final bitmap
 	// update, and its enforced GC (if one ran before the downgrade) was paid
@@ -120,7 +120,6 @@ func Build(r *migration.Report, enforcedGC time.Duration, led *ledger.Ledger) *A
 	if a.EffectiveMode == migration.ModeAppAssisted {
 		a.EnforcedGC = enforcedGC
 		a.FinalUpdate = r.FinalUpdate
-		a.WorkloadDowntime += enforcedGC + r.FinalUpdate
 	}
 	if pc := r.PostCopy; pc != nil {
 		a.FaultStall = pc.FaultStall

@@ -387,6 +387,18 @@ func (vm *VM) AttachObs(t *obs.Tracer, m *obs.Metrics) {
 	vm.Driver.SetObs(t, m)
 }
 
+// EnforcedGC returns the duration of the most recent enforced
+// (pre-suspension) collection, or zero when none has run.
+func (vm *VM) EnforcedGC() time.Duration {
+	hist := vm.Heap.GCHistory()
+	for i := len(hist) - 1; i >= 0; i-- {
+		if hist[i].Enforced {
+			return hist[i].Duration
+		}
+	}
+	return 0
+}
+
 // BootConfig parameterizes VM assembly.
 type BootConfig struct {
 	Name     string

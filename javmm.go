@@ -160,14 +160,6 @@ type (
 	// ResumeStats is a resumed run's account of how much of its token was
 	// honoured (Report.Resume).
 	ResumeStats = migration.ResumeStats
-	// Scheduler is the deterministic cooperative process scheduler: N
-	// processes (guests, migration engines) interleave on one virtual clock
-	// with totally ordered wakeups, so concurrent runs are reproducible.
-	Scheduler = simclock.Scheduler
-	// Fabric is the shared network substrate for concurrent migrations:
-	// hosts, NICs and links whose bandwidth is arbitrated across tenants
-	// under progressive fair share.
-	Fabric = netsim.Fabric
 	// FabricReport is the fabric's merged per-link accounting.
 	FabricReport = netsim.FabricReport
 	// LinkUsage is one shared link's utilization account.
@@ -198,8 +190,6 @@ type (
 	// FleetSnapshot is the fleet metrics interchange form (per-VM registries
 	// plus the fleet-scoped registry) javmm-analyze's fleet mode ingests.
 	FleetSnapshot = fleetobs.Snapshot
-	// TraceLane is one process row of a merged multi-plane Chrome trace.
-	TraceLane = obs.TraceLane
 	// Label is one Prometheus label on a labeled snapshot.
 	Label = obs.Label
 	// LabeledSnapshot pairs a metrics snapshot with Prometheus labels for
@@ -282,17 +272,6 @@ const (
 	ProgressAborted     = migration.ProgressAborted
 )
 
-// MaxETA is the progress stream's ETA clamp: non-converging estimates (dirty
-// rate at or above transfer rate) and converging-but-absurd ones are pinned
-// here instead of going negative or overflowing.
-const MaxETA = migration.MaxETA
-
-// EstimateETA estimates remaining transfer time from the observed rates; see
-// migration.EstimateETA for the clamping contract.
-func EstimateETA(bytesRemaining uint64, transferRate, dirtyByteRate float64) (time.Duration, bool) {
-	return migration.EstimateETA(bytesRemaining, transferRate, dirtyByteRate)
-}
-
 // DefaultSLA is the reference pricing policy experiments use, so SLA-cost
 // columns are comparable across runs.
 func DefaultSLA() SLAModel { return sla.Default() }
@@ -365,18 +344,6 @@ func ParseFaultPlan(specs []string) (FaultPlan, error) { return faults.ParsePlan
 // FaultSites enumerates every injection site in presentation order.
 func FaultSites() []FaultSite { return faults.Sites() }
 
-// RandomFaultPlan derives a valid random fault plan (1..budget rules) from a
-// seed — the chaos search's plan generator, also handy for ad-hoc fuzzing.
-// The same seed always yields the same plan.
-func RandomFaultPlan(seed int64, budget int) FaultPlan { return faults.RandomPlan(seed, budget) }
-
-// RandomFaultPlanHosts is RandomFaultPlan with a host universe: host-scoped
-// sites (host.crash, host.flaky) join the draw and may aim at the named
-// hosts. With no hosts it is exactly RandomFaultPlan.
-func RandomFaultPlanHosts(seed int64, budget int, hosts []string) FaultPlan {
-	return faults.RandomPlanHosts(seed, budget, hosts)
-}
-
 // Migration modes.
 const (
 	// ModeXen is unmodified pre-copy migration, agnostic of applications.
@@ -408,15 +375,6 @@ const (
 	// TenGigabitEthernet models the §6 upgraded environment.
 	TenGigabitEthernet = netsim.TenGigabitEffective
 )
-
-// NewScheduler attaches a cooperative process scheduler to the clock; see
-// DESIGN.md §15. Library users composing their own multi-VM scenarios start
-// here — MigrateMany wraps the common case.
-func NewScheduler(c *Clock) *Scheduler { return simclock.NewScheduler(c) }
-
-// NewFabric returns an empty network fabric on the clock; add hosts and
-// shared links, then Dial ports whose transfers contend for bandwidth.
-func NewFabric(c *Clock) *Fabric { return netsim.NewFabric(c) }
 
 // MigrateMany live-migrates N VMs concurrently over one shared network
 // fabric, all on a single deterministic clock: each VM gets a guest process
@@ -521,13 +479,6 @@ func WriteTraceJSONL(w io.Writer, events []Event) error { return obs.WriteJSONL(
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 func WriteTraceChrome(w io.Writer, events []Event) error { return obs.WriteChromeTrace(w, events) }
 
-// WriteTraceChromeLanes exports several event streams as one merged Chrome
-// trace: lane i becomes process i+1, named after the lane — the fleet
-// timeline form FleetCollector.WriteChromeTrace produces.
-func WriteTraceChromeLanes(w io.Writer, lanes []TraceLane) error {
-	return obs.WriteChromeTraceLanes(w, lanes)
-}
-
 // WritePrometheusLabeled renders several labeled snapshots as one Prometheus
 // page: same-named series merge under one TYPE header, label keys and rows in
 // deterministic order. A single unlabeled snapshot renders byte-identically
@@ -567,9 +518,6 @@ func ReadFleetSLAJSON(r io.Reader) (FleetSLACost, error) { return sla.ReadJSON(r
 func BuildSLACost(vm string, m SLAModel, a *Attribution, samples []Sample) SLACost {
 	return sla.Build(vm, m, a, samples)
 }
-
-// AggregateSLA folds per-VM costs into the fleet view.
-func AggregateSLA(costs []SLACost) FleetSLACost { return sla.Aggregate(costs) }
 
 // ReadTraceJSONL parses a trace previously exported with WriteTraceJSONL.
 func ReadTraceJSONL(r io.Reader) ([]Event, error) { return obs.ReadJSONL(r) }
@@ -708,56 +656,70 @@ func Resume(vm *VM, prior *Result, opts MigrateOptions) (*Result, error) {
 	return runMigration(vm, opts, prior.Destination, tok)
 }
 
-// runMigration is the shared plumbing behind Migrate and Resume: wire the
-// link, destination, fault plane and observability onto a fresh Source, run
-// it, and fold the guest-side observations into the Result.
+// runMigration is the shared plumbing behind Migrate and Resume: migrate
+// the VM's guest, then fold the VM's own observations into the Result.
 func runMigration(vm *VM, opts MigrateOptions, dest *migration.Destination, tok *migration.ResumeToken) (*Result, error) {
-	if opts.Bandwidth == 0 {
-		opts.Bandwidth = GigabitEthernet
-	}
-	if opts.Latency == 0 {
-		opts.Latency = 100 * time.Microsecond
-	}
-	cfg := opts.Engine
-	cfg.Mode = opts.Mode
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
-	}
-	if opts.Metrics != nil {
-		cfg.Metrics = opts.Metrics
-	}
-	if opts.Ledger != nil {
-		cfg.Ledger = opts.Ledger
-	}
-	if opts.Faults != nil {
-		cfg.Faults = opts.Faults
-		opts.Faults.SetObs(cfg.Tracer, cfg.Metrics)
-	}
+	cfg := opts.config()
 	vm.AttachObs(cfg.Tracer, cfg.Metrics)
-
 	exec := opts.Executor
 	if exec == nil {
 		exec = vm.Driver
 	}
-	link := netsim.NewLink(vm.Clock, opts.Bandwidth, opts.Latency)
-	link.SetMetrics(cfg.Metrics)
-	link.SetFaults(opts.Faults)
+	src, res, err := migrate(vm.Guest, exec, opts, cfg, dest, tok)
+	if err != nil {
+		return res, err
+	}
+	if vm.Driver.Err != nil {
+		return nil, fmt.Errorf("javmm: workload failed during migration: %w", vm.Driver.Err)
+	}
+	res.EnforcedGC = vm.EnforcedGC()
+	res.WorkloadDowntime = migration.WorkloadDowntime(res.Report, res.EnforcedGC)
+	if !opts.SkipVerify {
+		res.VerifyErr = src.Verify(res.Report, nil)
+	}
+	return res, nil
+}
+
+// config fills the link defaults and merges Mode and the observability and
+// fault planes into the engine configuration. The injector reports into the
+// same tracer and metrics as the run.
+func (o *MigrateOptions) config() migration.Config {
+	if o.Bandwidth == 0 {
+		o.Bandwidth = GigabitEthernet
+	}
+	if o.Latency == 0 {
+		o.Latency = 100 * time.Microsecond
+	}
+	cfg := o.Engine
+	cfg.Mode = o.Mode
+	if o.Tracer != nil {
+		cfg.Tracer = o.Tracer
+	}
+	if o.Metrics != nil {
+		cfg.Metrics = o.Metrics
+	}
+	if o.Ledger != nil {
+		cfg.Ledger = o.Ledger
+	}
+	if o.Faults != nil {
+		cfg.Faults = o.Faults
+		o.Faults.SetObs(cfg.Tracer, cfg.Metrics)
+	}
+	return cfg
+}
+
+// migrate runs one migration of guest g over a fresh link — or, with tok, a
+// resume into dest — and returns the wired Source with the Result. A
+// fault-aborted run still returns its partial report (recovery section,
+// abort reason) and destination beside the error, so callers and tests can
+// inspect the rollback.
+func migrate(g *Guest, exec GuestExecutor, opts MigrateOptions, cfg migration.Config,
+	dest *migration.Destination, tok *migration.ResumeToken) (*migration.Source, *Result, error) {
 	if dest == nil {
-		dest = migration.NewDestination(vm.Dom.NumPages())
+		dest = migration.NewDestination(g.Dom.NumPages())
 	}
-	dest.SetMetrics(cfg.Metrics)
-	dest.SetFaults(opts.Faults)
-	vm.Guest.LKM.SetFaults(opts.Faults)
-	vm.Guest.Bus.SetFaults(opts.Faults)
-	src := &migration.Source{
-		Dom:   vm.Dom,
-		LKM:   vm.Guest.LKM,
-		Link:  link,
-		Clock: vm.Clock,
-		Exec:  exec,
-		Dest:  dest,
-		Cfg:   cfg,
-	}
+	link := netsim.NewLink(g.Dom.Clock(), opts.Bandwidth, opts.Latency)
+	src := migration.NewSource(g, link, dest, exec, cfg)
 	var report *migration.Report
 	var err error
 	if tok != nil {
@@ -765,44 +727,10 @@ func runMigration(vm *VM, opts MigrateOptions, dest *migration.Destination, tok 
 	} else {
 		report, err = src.Migrate()
 	}
-	if err != nil {
-		// A fault-aborted run still produced a partial report (recovery
-		// section, abort reason) and a discarded destination; surface both
-		// beside the error so callers and tests can inspect the rollback.
-		if report != nil {
-			return &Result{Report: report, Destination: dest}, err
-		}
-		return nil, err
+	if report == nil {
+		return nil, nil, err
 	}
-	if vm.Driver.Err != nil {
-		return nil, fmt.Errorf("javmm: workload failed during migration: %w", vm.Driver.Err)
-	}
-	res := &Result{Report: report, Destination: dest}
-	hist := vm.Heap.GCHistory()
-	for i := len(hist) - 1; i >= 0; i-- {
-		if st := hist[i]; st.Enforced {
-			res.EnforcedGC = st.Duration
-			break
-		}
-	}
-	res.WorkloadDowntime = report.VMDowntime
-	// Keyed on the EFFECTIVE mode: a run degraded to vanilla pre-copy never
-	// performed the final update, and its workload downtime is plain
-	// stop-and-copy plus resumption.
-	if report.EffectiveMode() == ModeJAVMM {
-		res.WorkloadDowntime += res.EnforcedGC + report.FinalUpdate
-	}
-	// Store-equality verification only applies to runs that finish at VM
-	// pause; after a post-copy switchover the guest keeps dirtying pages
-	// while the remainder streams over, so the invariant is residency
-	// (every page fetched at its final version), checked by the engine's
-	// demand-fetch path itself.
-	if !opts.SkipVerify && report.PostCopy == nil {
-		res.VerifyErr = migration.VerifyMigration(
-			vm.Dom.Store(), dest.Store, report.FinalTransfer,
-			func(p mem.PFN) bool { return vm.Guest.Frames.Allocated(p) })
-	}
-	return res, nil
+	return src, &Result{Report: report, Destination: dest}, err
 }
 
 // The real-clock performance-observability plane (internal/obs/perf). Unlike
@@ -858,24 +786,6 @@ func BenchDeterministic(res *Result) DeterministicMetrics {
 		d.RollingDigest = fmt.Sprintf("%016x", ic.RollingDigest)
 	}
 	return d
-}
-
-// PostCopyStats describes a post-copy migration's demand-fault behaviour.
-type PostCopyStats = migration.PostCopyStats
-
-// MigratePostCopy migrates the VM post-copy style (related work, §2 of the
-// paper): minimal downtime by construction, but the resumed VM stalls on
-// demand faults until its working set arrives. Store-equality verification
-// does not apply — after switchover the VM's memory IS the destination
-// memory; the returned Result carries the fault statistics instead. It is a
-// convenience wrapper over Migrate with Mode set to ModePostCopy.
-func MigratePostCopy(vm *VM, opts MigrateOptions) (*Result, *PostCopyStats, error) {
-	opts.Mode = ModePostCopy
-	res, err := Migrate(vm, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Report.PostCopy, nil
 }
 
 // ReplicationReport summarizes a continuous-checkpointing run.
@@ -936,64 +846,16 @@ func NewCacheVM(memBytes, cacheBytes uint64, assisted bool) (*CacheApp, *Guest, 
 // content is legitimately meaningless at the destination (freed frames are
 // always exempt).
 func MigrateCustom(g *Guest, exec GuestExecutor, opts MigrateOptions, required func(p mem.PFN) bool) (*Result, error) {
-	if opts.Bandwidth == 0 {
-		opts.Bandwidth = GigabitEthernet
-	}
-	if opts.Latency == 0 {
-		opts.Latency = 100 * time.Microsecond
-	}
-	cfg := opts.Engine
-	cfg.Mode = opts.Mode
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
-	}
-	if opts.Metrics != nil {
-		cfg.Metrics = opts.Metrics
-	}
-	if opts.Ledger != nil {
-		cfg.Ledger = opts.Ledger
-	}
-	if opts.Faults != nil {
-		cfg.Faults = opts.Faults
-		opts.Faults.SetObs(cfg.Tracer, cfg.Metrics)
-	}
+	cfg := opts.config()
 	g.LKM.SetObs(cfg.Tracer, cfg.Metrics)
 	g.Bus.SetTracer(cfg.Tracer)
-	g.LKM.SetFaults(opts.Faults)
-	g.Bus.SetFaults(opts.Faults)
-
-	link := netsim.NewLink(g.Dom.Clock(), opts.Bandwidth, opts.Latency)
-	link.SetMetrics(cfg.Metrics)
-	link.SetFaults(opts.Faults)
-	dest := migration.NewDestination(g.Dom.NumPages())
-	dest.SetMetrics(cfg.Metrics)
-	dest.SetFaults(opts.Faults)
-	src := &migration.Source{
-		Dom:   g.Dom,
-		LKM:   g.LKM,
-		Link:  link,
-		Clock: g.Dom.Clock(),
-		Exec:  exec,
-		Dest:  dest,
-		Cfg:   cfg,
-	}
-	report, err := src.Migrate()
+	src, res, err := migrate(g, exec, opts, cfg, nil, nil)
 	if err != nil {
-		if report != nil {
-			return &Result{Report: report, Destination: dest}, err
-		}
-		return nil, err
+		return res, err
 	}
-	res := &Result{Report: report, Destination: dest, WorkloadDowntime: report.VMDowntime}
-	if !opts.SkipVerify && report.PostCopy == nil {
-		res.VerifyErr = migration.VerifyMigration(
-			g.Dom.Store(), dest.Store, report.FinalTransfer,
-			func(p mem.PFN) bool {
-				if !g.Frames.Allocated(p) {
-					return false
-				}
-				return required == nil || required(p)
-			})
+	res.WorkloadDowntime = migration.WorkloadDowntime(res.Report, 0)
+	if !opts.SkipVerify {
+		res.VerifyErr = src.Verify(res.Report, required)
 	}
 	return res, nil
 }

@@ -173,11 +173,11 @@ func TestPublicAPIFasterLink(t *testing.T) {
 
 func TestPublicAPIPostCopy(t *testing.T) {
 	vm := bootDerby(t, false)
-	res, pc, err := javmm.MigratePostCopy(vm, javmm.MigrateOptions{})
+	res, err := javmm.Migrate(vm, javmm.MigrateOptions{Mode: javmm.ModePostCopy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc == nil || pc.Faults == 0 {
+	if pc := res.PostCopy; pc == nil || pc.Faults == 0 {
 		t.Fatalf("post-copy stats = %+v", pc)
 	}
 	// Post-copy downtime is far below pre-copy's for this workload.
@@ -309,4 +309,60 @@ func TestPublicAPICacheVM(t *testing.T) {
 		t.Fatal("cold cache tail was not skipped")
 	}
 	_ = clock
+}
+
+// Engine.SkipFreePages and Engine.HintedCompression read the guest's free
+// list and the LKM's per-page hints; Migrate must wire both, or the options
+// silently do nothing.
+func TestPublicAPIGuestHookOptions(t *testing.T) {
+	vm := bootSmall(t, false, 3)
+	res, err := javmm.Migrate(vm, javmm.MigrateOptions{
+		Mode:   javmm.ModeXen,
+		Engine: javmm.EngineConfig{SkipFreePages: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VerifyErr != nil {
+		t.Fatal(res.VerifyErr)
+	}
+	var freeSkipped uint64
+	for _, it := range res.Iterations {
+		freeSkipped += it.PagesSkippedFree
+	}
+	if freeSkipped == 0 {
+		t.Fatal("SkipFreePages skipped no free page")
+	}
+
+	prof, err := javmm.Workload("derby")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.MaxYoungBytes = 256 << 20 // fits the 1 GiB VM, as in bootSmall
+	if prof.InitialYoungBytes > prof.MaxYoungBytes {
+		prof.InitialYoungBytes = prof.MaxYoungBytes
+	}
+	wireBytes := func(hinted bool) uint64 {
+		vm, err := javmm.BootVM(javmm.BootConfig{
+			MemBytes: 1 << 30, Profile: prof, Assisted: true, Seed: 3, AgentHints: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.Driver.Run(20 * time.Second)
+		res, err := javmm.Migrate(vm, javmm.MigrateOptions{
+			Mode:   javmm.ModeJAVMM,
+			Engine: javmm.EngineConfig{Compress: true, HintedCompression: hinted},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VerifyErr != nil {
+			t.Fatal(res.VerifyErr)
+		}
+		return res.TotalBytes()
+	}
+	if plain, hinted := wireBytes(false), wireBytes(true); plain == hinted {
+		t.Fatalf("HintedCompression left the wire bytes unchanged (%d)", plain)
+	}
 }
